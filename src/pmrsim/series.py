@@ -6,6 +6,19 @@ Each segment's off-diagonal factor is the sum over flip paths
 deposited at the flipped basis state.  Everything here is matrix-free state
 arithmetic; no ancillas are involved.
 
+The default taylor method never enumerates paths.  In Taylor form a path's
+divided difference is a fixed linear functional of its profile of complete
+homogeneous symmetric polynomials h_n, and one more flip extends that
+profile linearly in the new state's energy.  After shifting every energy by
+one constant c (divided differences are shift-covariant, so each source
+takes the factor e^{i dt (E_z - c)}), all paths that end at the same basis
+state after q flips share one summed profile.  A level is then a gather over
+the M terms, the h_n extension and a deposit, on the states reachable from
+the source: O(Q * M * |R| * n_max) work per segment instead of
+O(M^Q * 2^N * n_max).  The naive, pyramid and leibniz methods are nonlinear
+in the path and keep the reference route ``_uod_paths``, which enumerates
+every path.
+
 Segment bookkeeping pins the per-segment expansion rate at ln 2: the input
 bounds gamma_i are scaled up (never down) so the working total satisfies
 gamma_total * |dt| = ln 2, which makes the normalization s = 2 - tail hold
@@ -20,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import DdConfig, dd_exp, dd_exp_taylor_batch
+from .divdiff import DdConfig, dd_exp, dd_exp_taylor_batch, exp_prefactor
 from .pmr import GammaBounds, PmrHamiltonian, diagonal_energy, hopping_strength
 
 __all__ = [
@@ -282,19 +295,16 @@ def _uod_paths(
     config: DdConfig,
     work_budget: int,
 ):
-    """Shared path-enumeration engine.
+    """Reference route: enumerate every flip path and evaluate its divided
+    difference with the configured method.
 
-    With ``weights`` (source amplitudes) the result is the output state;
-    with ``weights=None`` it is the dense off-diagonal segment matrix over
-    the given source columns.  Paths extend breadth-first, term index
-    ascending, and per-level deposits are merged with compensated
-    accumulation, so outputs are reproducible.
-
-    For the default taylor evaluator the divided differences are computed
-    incrementally: every path carries the profile of complete homogeneous
-    symmetric polynomials of its energy differences, which one more flip
-    extends in O(n_max) work.  The leading zero input of each path does not
-    enter the profile (h_n is unchanged by a zero variable).
+    This is the engine behind ``--dd-method naive|pyramid|leibniz``, whose
+    divided differences are nonlinear in the path, and the small-N reference
+    that the taylor recursion is checked against.  With ``weights`` (source
+    amplitudes) the result is the output state; with ``weights=None`` it is
+    the dense off-diagonal segment matrix over the given source columns.
+    Paths extend breadth-first, term index ascending, and per-level deposits
+    are merged with compensated accumulation, so outputs are reproducible.
     """
     _check_budget(h, plan, work_budget)
     dim = 1 << h.n_qubits
@@ -316,15 +326,7 @@ def _uod_paths(
     sources = sources.astype(np.int32)
     e_src = energies[sources]
     dt = plan.delta_t
-    fast = config.method == "taylor"
-    if fast:
-        spread = float(energies.max() - energies.min()) if dim > 1 else 0.0
-        amp = abs(dt) * spread
-        n_max = _series_order(amp, config.series_tol) if amp > 0.0 else 1
-        scan = np.zeros((1, n_src, n_max + 1), dtype=float)
-        scan[:, :, 0] = 1.0
-    else:
-        seq = np.zeros((1, n_src, 1), dtype=float)
+    seq = np.zeros((1, n_src, 1), dtype=float)
 
     cum = np.zeros(1, dtype=np.int32)
     dprod = np.ones((1, n_src), dtype=complex)
@@ -343,32 +345,14 @@ def _uod_paths(
         delta_e, dprod_new = delta_e[live], dprod_new[live]
         nt = len(cum_new)
 
-        if fast:
-            scan_new = scan[live // h.m].copy()
-            for n in range(1, n_max + 1):
-                scan_new[:, :, n] += delta_e * scan_new[:, :, n - 1]
-            dd_re = np.zeros((nt, n_src))
-            dd_im = np.zeros((nt, n_src))
-            pref = 1.0 + 0.0j
-            for k in range(1, q + 1):
-                pref *= (-1j * dt) / k
-            for n in range(n_max + 1):
-                if pref.real != 0.0:
-                    dd_re += pref.real * scan_new[:, :, n]
-                if pref.imag != 0.0:
-                    dd_im += pref.imag * scan_new[:, :, n]
-                pref *= (-1j * dt) / (q + n + 1)
-            coeff_full = (dd_re + 1j * dd_im) * dprod_new
-            scan = scan_new
-        else:
-            seq_new = np.empty((nt, n_src, q + 1), dtype=float)
-            seq_new[:, :, :q] = np.repeat(seq, h.m, axis=0)[live]
-            seq_new[:, :, q] = delta_e
-            coeff_full = _batch_dd(
-                seq_new.reshape(nt * n_src, q + 1), dt, config
-            ).reshape(nt, n_src)
-            coeff_full *= dprod_new
-            seq = seq_new
+        seq_new = np.empty((nt, n_src, q + 1), dtype=float)
+        seq_new[:, :, :q] = np.repeat(seq, h.m, axis=0)[live]
+        seq_new[:, :, q] = delta_e
+        coeff_full = _batch_dd(
+            seq_new.reshape(nt * n_src, q + 1), dt, config
+        ).reshape(nt, n_src)
+        coeff_full *= dprod_new
+        seq = seq_new
 
         flat_rows = nt * n_src
         coeff_flat = coeff_full.reshape(flat_rows)
@@ -390,6 +374,107 @@ def _uod_paths(
     return out.reshape((dim, dim)) if matrix_mode else out
 
 
+class _Recursion:
+    """Tables of the basis-state recursion over the reachable set R.
+
+    R holds the support states and every state reachable from them within
+    ``flips`` flips whose hopping value d_i at the post-flip state is
+    nonzero.  Energies are shifted by c, the midpoint of E over R, so
+    |y| = |E - c| is at most half their spread there.  ``gathers`` holds one
+    (source position, d_i at R) pair per term that hops inside R; position
+    len(R) points at a zero row.  ``pref[q, n]`` is (-i dt)^{q+n}/(q+n)!.
+    """
+
+    def __init__(
+        self,
+        h: PmrHamiltonian,
+        plan: SegmentPlan,
+        support: np.ndarray,
+        flips: int,
+        tol: float,
+    ):
+        dim = 1 << h.n_qubits
+        states = np.arange(dim)
+        hops = [
+            (states ^ int(mask), h.term_values(i))
+            for i, mask in enumerate(h.x_masks())
+        ]
+        reach = support.copy()
+        for _ in range(flips):
+            grown = reach.copy()
+            for src, d in hops:
+                grown |= reach[src] & (d != 0)
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        self.rows = np.flatnonzero(reach)
+        pos = np.full(dim, len(self.rows))
+        pos[self.rows] = np.arange(len(self.rows))
+        self.gathers = []
+        for src, d in hops:
+            src_pos = pos[src[self.rows]]
+            coef = np.where(src_pos < len(self.rows), d[self.rows], 0.0)
+            if np.any(coef != 0):
+                self.gathers.append((src_pos, coef[:, None]))
+
+        energies = h.diagonal_values()[self.rows]
+        lo, hi = (energies.min(), energies.max()) if len(energies) else (0.0, 0.0)
+        self.c = 0.5 * (lo + hi)
+        self.y = (energies - self.c)[:, None]
+        self.energies = energies
+        dt = plan.delta_t
+        amp = abs(dt) * (hi - lo) / 2
+        n_max = _series_order(amp, tol) if amp > 0.0 else 0
+        self.pref = np.empty((plan.Q + 1, n_max + 1), dtype=complex)
+        for q in range(plan.Q + 1):
+            self.pref[q, 0] = exp_prefactor(q, dt)
+            for n in range(1, n_max + 1):
+                self.pref[q, n] = self.pref[q, n - 1] * (-1j * dt) / (q + n)
+
+    def sweep(self, out: np.ndarray, start: np.ndarray) -> None:
+        """Add the flip-path sums for q = 1..Q to ``out`` (|R|, k) in place.
+
+        ``start`` weights each source; a path from source z deposits
+        start[z] * e^{-i dt [y_z, y_{z_1}, ..., y_{z_q}]} * prod_j d_{i_j}.
+        Every path ending at the same state after q flips shares one profile
+        P[n] = sum of weight * prod d * h_n(y along the path), so one flip
+        is a gather over terms followed by the h_n extension with the new
+        state's y.
+        """
+        n_deg = self.pref.shape[1]
+        n_rows, k = out.shape
+        prof = np.zeros((n_deg, n_rows + 1, k), dtype=complex)
+        prof[0, :n_rows] = start
+        self._extend(prof[:, :n_rows])
+        for q in range(1, self.pref.shape[0]):
+            level = np.zeros((n_deg, n_rows, k), dtype=complex)
+            for src_pos, coef in self.gathers:
+                level += coef * prof[:, src_pos]
+            self._extend(level)
+            for n in range(n_deg):
+                out += self.pref[q, n] * level[n]
+            prof[:, :n_rows] = level
+
+    def _extend(self, prof: np.ndarray) -> None:
+        """h_n(..., y) = h_n(...) + y * h_{n-1}(..., y), ascending in n."""
+        for n in range(1, len(prof)):
+            prof[n] += self.y * prof[n - 1]
+
+
+def _apply_recursion(
+    h: PmrHamiltonian, plan: SegmentPlan, block: np.ndarray, config: DdConfig
+) -> np.ndarray:
+    """Truncated U_od applied to each column of ``block`` (2^N, k) by the
+    basis-state recursion."""
+    rec = _Recursion(h, plan, np.any(block != 0, axis=1), plan.Q, config.series_tol)
+    sub = block[rec.rows]
+    out = sub.copy()  # the empty path
+    rec.sweep(out, np.exp(1j * plan.delta_t * rec.y) * sub)
+    full = np.zeros_like(block)
+    full[rec.rows] = out
+    return full
+
+
 def apply_uod_truncated(
     h: PmrHamiltonian,
     g: GammaBounds,
@@ -404,10 +489,12 @@ def apply_uod_truncated(
     state = np.asarray(state, dtype=complex)
     if state.shape != (1 << h.n_qubits,):
         raise ValueError("state length must be 2^N")
+    cfg = config or DdConfig()
+    if cfg.method == "taylor":
+        _check_budget(h, plan, work_budget)
+        return _apply_recursion(h, plan, state[:, None], cfg)[:, 0]
     sources = np.flatnonzero(state)
-    return _uod_paths(
-        h, plan, sources, state[sources], config or DdConfig(), work_budget
-    )
+    return _uod_paths(h, plan, sources, state[sources], cfg, work_budget)
 
 
 def uod_matrix(
@@ -423,8 +510,12 @@ def uod_matrix(
     dim = 1 << h.n_qubits
     if dim * dim > _MATRIX_REUSE_ENTRIES:
         raise ValueError("dense segment matrix limited to small N")
+    cfg = config or DdConfig()
+    if cfg.method == "taylor":
+        _check_budget(h, plan, work_budget)
+        return _apply_recursion(h, plan, np.eye(dim, dtype=complex), cfg)
     sources = np.arange(dim, dtype=np.int64)
-    return _uod_paths(h, plan, sources, None, config or DdConfig(), work_budget)
+    return _uod_paths(h, plan, sources, None, cfg, work_budget)
 
 
 def evolve(
@@ -439,9 +530,14 @@ def evolve(
 ) -> np.ndarray:
     """Run r segments of diagonal phase followed by the truncated U_od.
 
-    Diagonal-only Hamiltonians evolve exactly in one shot.  When the dense
-    segment matrix is affordable and reused across several segments it is
-    built once; otherwise each segment re-enumerates paths matrix-free.
+    Diagonal-only Hamiltonians evolve exactly in one shot.  The taylor
+    method runs the basis-state recursion on the state, with its tables
+    built once over every state the r segments can reach; the diagonal
+    phase folds into it, since e^{-i dt E_z} times the recursion's source
+    factor e^{i dt (E_z - c)} is the global e^{-i dt c}.  The other methods
+    enumerate paths: when the dense segment matrix is affordable and reused
+    across several segments it is built once; otherwise each segment
+    re-enumerates paths matrix-free.
     """
     state = np.asarray(state, dtype=complex)
     plan = plan_segments(h, g, t, epsilon, q_override=q_override)
@@ -449,6 +545,21 @@ def evolve(
         return apply_diagonal(h, state, t)
     cfg = config or DdConfig()
     dim = 1 << h.n_qubits
+    if cfg.method == "taylor":
+        if state.shape != (dim,):
+            raise ValueError("state length must be 2^N")
+        _check_budget(h, plan, work_budget)
+        rec = _Recursion(h, plan, state != 0, plan.r * plan.Q, cfg.series_tol)
+        phases = np.exp(-1j * plan.delta_t * rec.energies)[:, None]
+        shift = np.exp(-1j * plan.delta_t * rec.c)
+        sub = state[rec.rows][:, None]
+        for _ in range(plan.r):
+            out = phases * sub  # the empty path
+            rec.sweep(out, shift * sub)
+            sub = out
+        state = np.zeros(dim, dtype=complex)
+        state[rec.rows] = sub[:, 0]
+        return state
     if plan.r > 1 and dim * dim <= _MATRIX_REUSE_ENTRIES:
         mat = _uod_paths(
             h, plan, np.arange(dim, dtype=np.int64), None, cfg, work_budget

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from conftest import random_pmr_hamiltonian, random_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmrsim import (
     DdConfig,
@@ -26,7 +28,7 @@ from pmrsim import (
     series_tail,
     uod_matrix,
 )
-from pmrsim.series import LN2
+from pmrsim.series import LN2, _uod_paths
 
 LADDER = pauli_to_pmr(parse_hamiltonian("1.0 Z\n1.0 X\n"))
 LADDER_G = gamma_bounds(LADDER)
@@ -338,3 +340,157 @@ class TestEvolve:
         a = evolve(h, g, psi, 1.3, 1e-6)
         b = evolve(h, g, psi, 1.3, 1e-6)
         assert np.array_equal(a, b)
+
+
+def number_conserving_hamiltonian(rng, n):
+    """Random XX + YY hopping plus Z and ZZ fields.  The set-bit count is
+    conserved, and every hopping table d_i vanishes wherever the two
+    flipped bits are equal."""
+    strings = []
+    for a in range(n - 1):
+        for b in range(a + 1, n):
+            if rng.random() < 0.6:
+                c = float(rng.uniform(-1, 1))
+                bits = (1 << a) | (1 << b)
+                strings.append(PauliString(c, 0, bits, 0, n))
+                strings.append(PauliString(c, 0, 0, bits, n))
+    for _ in range(3):
+        strings.append(
+            PauliString(float(rng.uniform(-1, 1)), int(rng.integers(1, 1 << n)), 0, 0, n)
+        )
+    return pauli_to_pmr(strings)
+
+
+def reference_segment(h, plan, psi):
+    """The truncated U_od by explicit path enumeration (taylor evaluator)."""
+    sources = np.flatnonzero(psi)
+    return _uod_paths(h, plan, sources, psi[sources], DdConfig(), 1 << 40)
+
+
+def source_states(rng, n):
+    """Dense, basis, sparse and all-zero sources."""
+    dim = 1 << n
+    basis = np.zeros(dim, dtype=complex)
+    basis[int(rng.integers(dim))] = 1.0
+    sparse = np.zeros(dim, dtype=complex)
+    picks = rng.choice(dim, size=max(1, dim // 4), replace=False)
+    sparse[picks] = rng.normal(size=len(picks)) + 1j * rng.normal(size=len(picks))
+    return [random_state(rng, n), basis, sparse, np.zeros(dim, dtype=complex)]
+
+
+class TestRecursionVsReference:
+    """The taylor route's basis-state recursion against path enumeration."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_hamiltonians(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = 2 + seed % 4
+        h = random_pmr_hamiltonian(rng, n=n, m_terms=3)
+        g = gamma_bounds(h)
+        for t in (1.3, -1.3):
+            for q in (None, 1, 2):
+                plan = plan_segments(h, g, t, 1e-5, q_override=q)
+                for psi in source_states(rng, n):
+                    out = apply_uod_truncated(h, g, plan, psi)
+                    assert np.max(np.abs(out - reference_segment(h, plan, psi))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_hopping_with_zeros(self, n):
+        rng = np.random.default_rng(200 + n)
+        h = number_conserving_hamiltonian(rng, n)
+        assert any(np.any(h.term_values(i) == 0) for i in range(h.m))
+        g = gamma_bounds(h)
+        for t in (0.9, -0.9):
+            plan = plan_segments(h, g, t, 1e-5)
+            for psi in source_states(rng, n):
+                out = apply_uod_truncated(h, g, plan, psi)
+                assert np.max(np.abs(out - reference_segment(h, plan, psi))) <= 1e-12
+
+    def test_order_zero_and_diagonal_only(self):
+        rng = np.random.default_rng(300)
+        h = random_pmr_hamiltonian(rng, n=3, m_terms=3)
+        g = gamma_bounds(h)
+        diag = pauli_to_pmr([PauliString.from_word(0.7, "ZZI")])
+        plans = [
+            (h, g, plan_segments(h, g, 1.1, 1e-4, q_override=0)),
+            (h, g, plan_segments(h, g, 0.0, 1e-4)),
+            (diag, gamma_bounds(diag), plan_segments(diag, gamma_bounds(diag), 1.1, 1e-4)),
+        ]
+        for hh, gg, plan in plans:
+            assert plan.Q == 0
+            for psi in source_states(rng, 3):
+                out = apply_uod_truncated(hh, gg, plan, psi)
+                assert np.array_equal(out, psi)
+                assert np.array_equal(out, reference_segment(hh, plan, psi))
+
+    def test_matrix_columns_are_basis_images(self):
+        rng = np.random.default_rng(400)
+        for h in (random_pmr_hamiltonian(rng, n=3), number_conserving_hamiltonian(rng, 4)):
+            g = gamma_bounds(h)
+            plan = plan_segments(h, g, -0.8, 1e-6)
+            mat = uod_matrix(h, g, plan)
+            dim = 1 << h.n_qubits
+            for z in range(dim):
+                e_z = np.zeros(dim, dtype=complex)
+                e_z[z] = 1.0
+                col = apply_uod_truncated(h, g, plan, e_z)
+                assert np.max(np.abs(mat[:, z] - col)) <= 1e-12
+            ref = _uod_paths(h, plan, np.arange(dim), None, DdConfig(), 1 << 40)
+            assert np.max(np.abs(mat - ref)) <= 1e-12
+
+    def test_evolve_equals_repeated_segments(self):
+        # a hopping chain spreads a basis state one site per flip, so the
+        # r segments reach far more states than one segment's Q flips
+        n = 6
+        strings = [PauliString.from_word(0.4, "ZZIIII"), PauliString.from_word(-0.3, "IIIZIZ")]
+        for a in range(n - 1):
+            for ch in "XY":
+                strings.append(PauliString.from_word(0.5, "I" * a + ch * 2 + "I" * (n - a - 2)))
+        h = pauli_to_pmr(strings)
+        g = gamma_bounds(h)
+        psi = np.zeros(1 << n, dtype=complex)
+        psi[0b000111] = 1.0
+        plan = plan_segments(h, g, 6.0, 1e-3, q_override=2)
+        assert plan.r >= 4
+        seg = psi
+        for _ in range(plan.r):
+            seg = apply_uod_truncated(h, g, plan, apply_diagonal(h, seg, plan.delta_t))
+        out = evolve(h, g, psi, 6.0, 1e-3, q_override=2)
+        assert np.max(np.abs(out - seg)) <= 1e-12
+
+    def test_evolve_stays_in_number_sector(self):
+        rng = np.random.default_rng(500)
+        n = 5
+        h = number_conserving_hamiltonian(rng, n)
+        g = gamma_bounds(h)
+        z0 = 0b01011
+        psi = np.zeros(1 << n, dtype=complex)
+        psi[z0] = 1.0
+        counts = np.array([bin(z).count("1") for z in range(1 << n)])
+        for t, eps in ((4.0, 1e-6), (-2.5, 1e-9)):
+            # the work budget prices path enumeration (M^Q * 2^N), which
+            # this route does not do
+            out = evolve(h, g, psi, t, eps, work_budget=1 << 62)
+            assert np.all(out[counts != counts[z0]] == 0)
+            assert np.linalg.norm(out - DenseOracle(h).evolve(psi, t)) <= eps
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    m_terms=st.integers(0, 4),
+    T=st.floats(0.05, 6.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_evolve_within_epsilon_of_oracle(seed, n, m_terms, T, sign):
+    """Property: taylor-route evolution meets its epsilon against the dense
+    oracle; m_terms = 0 draws diagonal-only Hamiltonians."""
+    rng = np.random.default_rng(seed)
+    h = random_pmr_hamiltonian(rng, n=n, m_terms=m_terms)
+    g = gamma_bounds(h)
+    t = sign * T / (g.gamma_total or 1.0)
+    psi = random_state(rng, n)
+    eps = 1e-6
+    out = evolve(h, g, psi, t, eps)
+    assert np.linalg.norm(out - DenseOracle(h).evolve(psi, t)) <= eps
