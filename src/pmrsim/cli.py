@@ -8,7 +8,8 @@ same fields); identical seeded invocations produce byte-identical output.
 Timing goes to stderr so it never perturbs the artifacts.
 
 Exit codes: 0 success, 2 input error, 3 work/memory budget exceeded,
-4 numerical check failure (with --check).
+4 numerical failure: a series result that is not finite (inf or NaN), or
+an error above tolerance with --check.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .divdiff import (
     DdConfig,
     RepeatedInputsError,
+    SeriesConvergenceError,
     auto_doubling_depth,
     dd_exp_leibniz,
     dd_exp_naive,
@@ -96,6 +98,12 @@ def _initial_state(arg: str, n_qubits: int, seed: int) -> np.ndarray:
     return psi
 
 
+def _quiet_overflow():
+    """evolve and evolve_lcu raise SeriesConvergenceError on a non-finite
+    result, so numpy's overflow warnings on the way would only repeat it."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _load_hamiltonian(path: str):
     strings = parse_hamiltonian_file(path)
     return pauli_to_pmr(strings)
@@ -108,7 +116,8 @@ def cmd_evolve(args) -> int:
     plan = plan_segments(h, g, args.t, args.epsilon)
     config = DdConfig(method=args.dd_method)
     start = time.perf_counter()
-    out = evolve(h, g, psi, args.t, args.epsilon, config=config)
+    with _quiet_overflow():
+        out = evolve(h, g, psi, args.t, args.epsilon, config=config)
     elapsed = time.perf_counter() - start
     error = None
     if h.n_qubits <= DENSE_ORACLE_LIMIT:
@@ -137,16 +146,18 @@ def cmd_lcu(args) -> int:
     plan = plan_segments(h, g, args.t, args.epsilon)
     config = LcuConfig(phase_bits=args.phase_bits, dd=DdConfig(method=args.dd_method))
     start = time.perf_counter()
-    out, diags = evolve_lcu(h, g, psi, args.t, args.epsilon, config)
+    with _quiet_overflow():
+        out, diags = evolve_lcu(h, g, psi, args.t, args.epsilon, config)
     elapsed = time.perf_counter() - start
     error = None
     if h.n_qubits <= DENSE_ORACLE_LIMIT:
         error = float(np.linalg.norm(out - DenseOracle(h).evolve(psi, args.t)))
     quant_error = None
     if args.phase_bits is not None:
-        exact_out, _ = evolve_lcu(
-            h, g, psi, args.t, args.epsilon, LcuConfig(dd=DdConfig(method=args.dd_method))
-        )
+        with _quiet_overflow():
+            exact_out, _ = evolve_lcu(
+                h, g, psi, args.t, args.epsilon, LcuConfig(dd=DdConfig(method=args.dd_method))
+            )
         quant_error = float(np.linalg.norm(out - exact_out))
     header = [
         "hamiltonian", "N", "M", "segment", "t", "epsilon", "T", "r", "Q", "s",
@@ -387,6 +398,9 @@ def main(argv: list[str] | None = None) -> int:
     except (WorkBudgetExceededError, CompositeBudgetError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except SeriesConvergenceError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -7,21 +7,24 @@ segment is the diagonal phase on the system followed by A = -W R W' R W
 with W = B' U_C B, where B prepares the LCU weight state and U_C applies,
 conditioned on the ancilla, a diagonal phase pair and the path's bit flips.
 
-Everything is plain state-vector arithmetic; operators are applied
-block-by-block and never materialized densely.
+Everything is plain state-vector arithmetic, and no operator is
+materialized densely.  Each SegmentOperators builds its phase tables level
+by level for all paths at once and keeps one phase row and flip mask per
+ancilla index, so U_C acts on every block in a single gather.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
-from .divdiff import DdConfig, dd_exp, dd_exp_taylor_batch
+from .divdiff import DdConfig
 from .oracle import DenseOracle
 from .pmr import GammaBounds, PmrHamiltonian
-from .series import LN2, SegmentPlan, plan_segments
+from .series import LN2, SegmentPlan, _batch_dd, _require_finite, plan_segments
 
 __all__ = [
     "AncillaLayout",
@@ -75,13 +78,11 @@ class AncillaLayout:
         return value * 2 + k
 
     def digits(self, a: int) -> tuple[tuple[int, ...], int]:
-        k = a & 1
-        value = a >> 1
-        digits = []
+        value, digits = a >> 1, []
         for _ in range(self.Q):
-            digits.append(value % (self.M + 1))
-            value //= self.M + 1
-        return tuple(reversed(digits)), k
+            value, digit = divmod(value, self.M + 1)
+            digits.append(digit)
+        return tuple(reversed(digits)), a & 1
 
     def path_of(self, a: int) -> tuple[tuple[int, ...], int]:
         """Effective 0-based path (zeros dropped) and k for an ancilla index."""
@@ -90,21 +91,37 @@ class AncillaLayout:
 
     def is_valid(self, a: int) -> bool:
         """Valid patterns have no occupied register after an empty one."""
-        digits, _ = self.digits(a)
-        seen_zero = False
-        for d in digits:
-            if d == 0:
-                seen_zero = True
-            elif seen_zero:
-                return False
-        return True
+        return self.index(*self.path_of(a)) == a
 
     def paths(self):
         """All valid paths in deterministic (length, lexicographic) order."""
-        from itertools import product
-
         for q in range(self.Q + 1):
             yield from product(range(self.M), repeat=q)
+
+
+def _ancilla_paths(layout: AncillaLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Path rank, in ``paths()`` order, and validity of every register value.
+
+    Register value a >> 1 maps to the path of its nonzero digits, as
+    ``path_of`` does, so invalid patterns get that path's rank too.  A value
+    is valid when packing its nonzero digits to the front leaves it as is.
+    """
+    m, depth = layout.M, layout.Q
+    value = np.arange((m + 1) ** depth)
+    length, local, packed = (np.zeros_like(value) for _ in range(3))
+    for j in range(depth):
+        digit = value // (m + 1) ** (depth - 1 - j) % (m + 1)
+        occupied = digit > 0
+        local = np.where(occupied, local * m + digit - 1, local)
+        packed += np.where(occupied, digit * (m + 1) ** (depth - 1 - length), 0)
+        length += occupied
+    offsets = np.concatenate(([0], np.cumsum(m ** np.arange(depth))))
+    return offsets[length] + local, packed == value
+
+
+def _unary_indices(m: int, depth: int) -> np.ndarray:
+    """Register values of the unary patterns 1^q 0^(depth-q), q = 0..depth."""
+    return np.cumsum([0] + [(m + 1) ** (depth - q) for q in range(1, depth + 1)])
 
 
 @dataclass(frozen=True)
@@ -207,18 +224,12 @@ def psi0_unary_cascade(
     """First preparation step: the normalized unary-occupation ladder
     sum_q sqrt((Gamma dt)^q / q!) |1^q 0^(Q-q)> over the path registers."""
     gam, _ = lcu_weights(g, plan, config)
-    m = len(g.gamma)
-    reg_dim = (m + 1) ** plan.Q
-    vec = np.zeros(reg_dim, dtype=float)
+    vec = np.zeros((len(g.gamma) + 1) ** plan.Q)
     rate = float(np.sum(gam)) * abs(plan.delta_t)
     amp = 1.0
-    for q in range(plan.Q + 1):
+    for q, idx in enumerate(_unary_indices(len(g.gamma), plan.Q)):
         if q > 0:
             amp *= rate / q  # (Gamma dt)^q / q!
-        idx = 0
-        for j in range(plan.Q):
-            digit = 1 if j < q else 0
-            idx = idx * (m + 1) + digit
         vec[idx] = math.sqrt(amp)
     return vec / np.linalg.norm(vec)
 
@@ -232,23 +243,20 @@ def prepare_psi0(
     sector masses (Gamma dt)^q / q!, each occupied register then fans out
     to sqrt(gamma_i / Gamma), and the k qubit gets a Hadamard.  The result
     carries amplitude sqrt(gamma_path |dt|^q / q!) / sqrt(2 s) on every
-    valid pattern.
+    valid pattern.  The fan-out of all paths of length q is one outer
+    product per level.
     """
     gam, _ = lcu_weights(g, plan, config)
     m = len(g.gamma)
-    layout = AncillaLayout(plan.Q, m)
-    unary = psi0_unary_cascade(g, plan, config)
+    ladder = psi0_unary_cascade(g, plan, config)[_unary_indices(m, plan.Q)]
     total = float(np.sum(gam))
     frac = np.sqrt(gam / total) if total > 0 else np.zeros(m)
-    vec = np.zeros(layout.anc_dim, dtype=float)
-    for path in layout.paths():
-        q = len(path)
-        unary_idx = 0
-        for j in range(plan.Q):
-            unary_idx = unary_idx * (m + 1) + (1 if j < q else 0)
-        amp = unary[unary_idx] * float(np.prod(frac[list(path)])) if q else unary[unary_idx]
-        for k in (0, 1):
-            vec[layout.index(path, k)] = amp / math.sqrt(2.0)
+    amps, fan = [ladder[:1]], np.ones(1)
+    for q in range(1, plan.Q + 1):
+        fan = np.outer(fan, frac).reshape(-1)
+        amps.append(ladder[q] * fan)
+    rank, valid = _ancilla_paths(AncillaLayout(plan.Q, m))
+    vec = np.repeat(np.where(valid, np.concatenate(amps)[rank], 0.0), 2) / math.sqrt(2.0)
     norm = np.linalg.norm(vec)
     if norm == 0.0:
         raise ValueError("degenerate weight state (all bounds zero)")
@@ -287,43 +295,42 @@ def _path_tables(
     gam: np.ndarray,
     plan: SegmentPlan,
     config: LcuConfig,
-    path: tuple[int, ...],
-    energies: np.ndarray,
-    d_tab: np.ndarray,
-):
-    """Per-source phase pair (e^{i theta_0}, e^{i theta_1}) and flip mask."""
+    levels,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per level q, the cumulative flip masks (P,) and per-source phase pairs
+    e^{i theta_0}, e^{i theta_1} (P, 2^N) of every path with i_j in
+    ``levels[j-1]``, in lexicographic order; level 0 is the empty path.  Each
+    level extends all of the previous level's paths at once and makes one
+    divided-difference batch."""
     dim = 1 << h.n_qubits
-    q = len(path)
-    if q == 0:
-        ones = np.ones(dim, dtype=complex)
-        return 0, ones, ones.copy()
-    cum = 0
-    seq = np.zeros((dim, q + 1), dtype=float)
-    dprod = np.ones(dim, dtype=complex)
-    z = np.arange(dim)
-    for j, i in enumerate(path):
-        cum ^= int(h.terms[i][1].x_mask)
-        dest = z ^ cum
-        seq[:, j + 1] = energies[dest] - energies
-        dprod *= d_tab[i][dest]
-    if config.dd.method == "taylor":
-        dd = dd_exp_taylor_batch(seq, plan.delta_t, config.dd.series_tol)
-    else:
-        dd = np.array([dd_exp(row, plan.delta_t, config.dd) for row in seq])
-    gam_path = float(np.prod(gam[list(path)]))
-    weight = gam_path * abs(plan.delta_t) ** q / math.factorial(q)
-    if weight == 0.0:
-        beta = np.zeros(dim, dtype=complex)
-    else:
-        beta = dd * dprod / weight
-    mag = np.abs(beta)
-    chi = np.where(mag > 0, np.angle(beta), 0.0)
-    phi = np.arccos(np.clip(mag, 0.0, 1.0))
-    theta0, theta1 = chi + phi, chi - phi
-    if config.phase_bits is not None:
-        theta0 = _quantize_angle(theta0, config.phase_bits)
-        theta1 = _quantize_angle(theta1, config.phase_bits)
-    return cum, np.exp(1j * theta0), np.exp(1j * theta1)
+    energies = h.diagonal_values()
+    d_tab = np.array([h.term_values(i) for i in range(h.m)])
+    masks = h.x_masks()
+    cum = np.zeros(1, dtype=np.int64)
+    seq = np.zeros((1, dim, 1))
+    dprod = np.ones((1, dim), dtype=complex)
+    gam_path = np.ones(1)
+    out = [(cum, dprod, dprod)]  # the empty path has beta = 1
+    for q, terms in enumerate(levels, start=1):
+        terms = np.asarray(terms, dtype=np.int64)
+        parent, child = np.divmod(np.arange(len(cum) * len(terms)), len(terms))
+        cum = np.bitwise_xor.outer(cum, masks[terms]).reshape(-1)
+        dest = cum[:, None] ^ np.arange(dim)
+        seq = np.concatenate((seq[parent], (energies[dest] - energies)[..., None]), axis=2)
+        dprod = dprod[parent] * d_tab[terms[child][:, None], dest]
+        gam_path = np.outer(gam_path, gam[terms]).reshape(-1)
+        dd = _batch_dd(seq.reshape(-1, q + 1), plan.delta_t, config.dd).reshape(dest.shape)
+        weight = (gam_path * abs(plan.delta_t) ** q / math.factorial(q))[:, None]
+        beta = np.divide(dd * dprod, weight, out=np.zeros_like(dd), where=weight != 0.0)
+        mag = np.abs(beta)
+        chi = np.where(mag > 0, np.angle(beta), 0.0)
+        phi = np.arccos(np.clip(mag, 0.0, 1.0))
+        theta0, theta1 = chi + phi, chi - phi
+        if config.phase_bits is not None:
+            theta0 = _quantize_angle(theta0, config.phase_bits)
+            theta1 = _quantize_angle(theta1, config.phase_bits)
+        out.append((cum, np.exp(1j * theta0), np.exp(1j * theta1)))
+    return out
 
 
 def compute_phase_angles(
@@ -344,16 +351,15 @@ def compute_phase_angles(
     if len(indices) > plan.Q:
         raise ValueError(f"path length {len(indices)} exceeds plan order Q={plan.Q}")
     gam, _ = lcu_weights(g, plan, config)
-    energies = h.diagonal_values()
-    d_tab = np.array([h.term_values(i) for i in range(h.m)]) if h.m else np.empty((0, 2))
-    _, ph0, ph1 = _path_tables(h, gam, plan, config, indices, energies, d_tab)
-    theta0 = float(np.angle(ph0[z]))
-    theta1 = float(np.angle(ph1[z]))
+    _, ph0, ph1 = _path_tables(h, gam, plan, config, [[i] for i in indices])[-1]
+    theta0, theta1 = float(np.angle(ph0[0, z])), float(np.angle(ph1[0, z]))
     return 0.5 * (theta0 + theta1), 0.5 * (theta0 - theta1)
 
 
 class SegmentOperators:
-    """Cached per-plan tables: the weight state and per-path phase pairs."""
+    """Per-plan tables: the weight state and, per ancilla index a, the path's
+    flip mask, phase row e^{i theta_k(z)} and gather index a * 2^N + (z ^ mask).
+    """
 
     def __init__(
         self,
@@ -369,16 +375,19 @@ class SegmentOperators:
         self.gam, self.s = lcu_weights(g, plan, self.config)
         self.psi0 = prepare_psi0(g, plan, self.config)
         self._energies = h.diagonal_values()
-        self._d_tab = np.array([h.term_values(i) for i in range(h.m)])
-        self._tables: dict[tuple[int, ...], tuple] = {}
+        levels = _path_tables(h, self.gam, plan, self.config, [range(h.m)] * plan.Q)
+        cum, ph0, ph1 = (np.concatenate(parts) for parts in zip(*levels))
+        rank, _ = _ancilla_paths(self.layout)
+        dim = 1 << h.n_qubits
+        self.phases = np.stack((ph0[rank], ph1[rank]), axis=1).reshape(-1, dim)
+        self.flips = np.repeat(cum[rank], 2)
+        flat = np.arange(self.phases.size, dtype=np.min_scalar_type(self.phases.size))
+        self.gather = (flat.reshape(-1, dim) ^ self.flips[:, None].astype(flat.dtype)).ravel()
 
     def tables(self, path: tuple[int, ...]):
-        if path not in self._tables:
-            self._tables[path] = _path_tables(
-                self.h, self.gam, self.plan, self.config, path,
-                self._energies, self._d_tab,
-            )
-        return self._tables[path]
+        """(cum, phase0, phase1): one path's flip mask and phase pair."""
+        a = self.layout.index(tuple(path), 0)
+        return int(self.flips[a]), self.phases[a], self.phases[a + 1]
 
     def diagonal_phases(self) -> np.ndarray:
         return np.exp(-1j * self.plan.delta_t * self._energies)
@@ -393,26 +402,17 @@ def apply_U_C(
 
     For ancilla pattern (i_1...i_q, k) the system picks up the phase
     e^{i(chi + (-1)^k phi)} evaluated at its current basis state and is then
-    flipped by the path's cumulative mask.  Zero-amplitude blocks are
-    skipped; ancilla indices never mix.
+    flipped by the path's cumulative mask.  All blocks go through one gather
+    of the per-ancilla tables; ancilla indices never mix.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
-    dim = state.system_dim
-    out = state.copy()
-    mat = out.amplitudes.reshape(state.layout.anc_dim, dim)
-    z = np.arange(dim)
-    active = np.flatnonzero(np.any(mat != 0, axis=1))
-    for a in active:
-        block = mat[a]
-        path, k = state.layout.path_of(int(a))
-        cum, ph0, ph1 = ops.tables(path)
-        phases = ph0 if k == 0 else ph1
-        if direction == "forward":
-            mat[a] = (phases * block)[z ^ cum]
-        else:
-            mat[a] = phases.conj() * block[z ^ cum]
-    return out
+    phases = ops.phases.reshape(-1)
+    if direction == "forward":
+        out = np.take(phases * state.amplitudes, ops.gather)
+    else:
+        out = phases.conj() * np.take(state.amplitudes, ops.gather)
+    return CompositeState(out, state.layout, state.n_qubits)
 
 
 def apply_reflection(state: CompositeState) -> CompositeState:
@@ -549,4 +549,4 @@ def evolve_lcu(
         if norm == 0.0:
             raise ArithmeticError("post-selection lost all amplitude")
         sys = sys / norm
-    return sys, diags
+    return _require_finite(sys), diags

@@ -33,7 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import DdConfig, dd_exp, dd_exp_taylor_batch, exp_prefactor
+from .divdiff import (
+    DdConfig,
+    SeriesConvergenceError,
+    dd_exp,
+    dd_exp_taylor_batch,
+    exp_prefactor,
+)
 from .pmr import GammaBounds, PmrHamiltonian, diagonal_energy, hopping_strength
 
 __all__ = [
@@ -59,12 +65,12 @@ _EVAL_CHUNK_ROWS = 1 << 20
 
 
 class WorkBudgetExceededError(RuntimeError):
-    """Path enumeration would exceed the configured work budget."""
+    """Series work would exceed the configured work budget."""
 
-    def __init__(self, product: int, budget: int, detail: str):
-        super().__init__(
-            f"path work M^Q * 2^N = {detail} = {product} exceeds budget {budget}"
-        )
+    def __init__(
+        self, product: int, budget: int, detail: str, work: str = "path work M^Q * 2^N"
+    ):
+        super().__init__(f"{work} = {detail} = {product} exceeds budget {budget}")
         self.product = product
         self.budget = budget
 
@@ -246,12 +252,31 @@ def apply_diagonal(h: PmrHamiltonian, state: np.ndarray, delta_t: float) -> np.n
     return state * np.exp(-1j * delta_t * h.diagonal_values())
 
 
-def _check_budget(h: PmrHamiltonian, plan: SegmentPlan, budget: int) -> None:
-    product = h.m ** plan.Q * (1 << h.n_qubits)
+def _check_budget(
+    h: PmrHamiltonian, plan: SegmentPlan, budget: int, recursion: bool = False
+) -> None:
+    """Refuse a segment whose work exceeds ``budget``.  Path enumeration
+    costs M^Q * 2^N; the taylor recursion gathers over M terms for Q levels
+    on |R| <= 2^N states, so it is priced Q * M * 2^N."""
+    n = h.n_qubits
+    if recursion:
+        product = plan.Q * h.m << n
+        detail, work = f"{plan.Q} * {h.m} * 2^{n}", "recursion work Q * M * 2^N"
+    else:
+        product = h.m ** plan.Q << n
+        detail, work = f"{h.m}^{plan.Q} * 2^{n}", "path work M^Q * 2^N"
     if product > budget:
-        raise WorkBudgetExceededError(
-            product, budget, f"{h.m}^{plan.Q} * 2^{h.n_qubits}"
+        raise WorkBudgetExceededError(product, budget, detail, work)
+
+
+def _require_finite(out: np.ndarray) -> np.ndarray:
+    """``out`` itself, or SeriesConvergenceError if any entry is inf or NaN."""
+    if not np.isfinite(out).all():
+        raise SeriesConvergenceError(
+            "series result is not finite: its terms overflowed float64 "
+            "(|t| * spread of the diagonal energies too large)"
         )
+    return out
 
 
 def _batch_dd(seqs: np.ndarray, delta_t: float, config: DdConfig) -> np.ndarray:
@@ -472,7 +497,7 @@ def _apply_recursion(
     rec.sweep(out, np.exp(1j * plan.delta_t * rec.y) * sub)
     full = np.zeros_like(block)
     full[rec.rows] = out
-    return full
+    return _require_finite(full)
 
 
 def apply_uod_truncated(
@@ -491,7 +516,7 @@ def apply_uod_truncated(
         raise ValueError("state length must be 2^N")
     cfg = config or DdConfig()
     if cfg.method == "taylor":
-        _check_budget(h, plan, work_budget)
+        _check_budget(h, plan, work_budget, recursion=True)
         return _apply_recursion(h, plan, state[:, None], cfg)[:, 0]
     sources = np.flatnonzero(state)
     return _uod_paths(h, plan, sources, state[sources], cfg, work_budget)
@@ -512,7 +537,7 @@ def uod_matrix(
         raise ValueError("dense segment matrix limited to small N")
     cfg = config or DdConfig()
     if cfg.method == "taylor":
-        _check_budget(h, plan, work_budget)
+        _check_budget(h, plan, work_budget, recursion=True)
         return _apply_recursion(h, plan, np.eye(dim, dtype=complex), cfg)
     sources = np.arange(dim, dtype=np.int64)
     return _uod_paths(h, plan, sources, None, cfg, work_budget)
@@ -548,7 +573,7 @@ def evolve(
     if cfg.method == "taylor":
         if state.shape != (dim,):
             raise ValueError("state length must be 2^N")
-        _check_budget(h, plan, work_budget)
+        _check_budget(h, plan, work_budget, recursion=True)
         rec = _Recursion(h, plan, state != 0, plan.r * plan.Q, cfg.series_tol)
         phases = np.exp(-1j * plan.delta_t * rec.energies)[:, None]
         shift = np.exp(-1j * plan.delta_t * rec.c)
@@ -559,7 +584,7 @@ def evolve(
             sub = out
         state = np.zeros(dim, dtype=complex)
         state[rec.rows] = sub[:, 0]
-        return state
+        return _require_finite(state)
     if plan.r > 1 and dim * dim <= _MATRIX_REUSE_ENTRIES:
         mat = _uod_paths(
             h, plan, np.arange(dim, dtype=np.int64), None, cfg, work_budget

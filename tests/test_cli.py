@@ -72,9 +72,30 @@ class TestEvolveCommand:
         assert "line 2" in capsys.readouterr().err
 
     def test_budget_exceeded_exit_3(self):
+        # path enumeration at Q = 13: 4^13 * 2^4 exceeds the default budget
         assert main(
-            ["evolve", "--hamiltonian", SAMPLE, "--t", "1.0", "--epsilon", "1e-12"]
+            ["evolve", "--hamiltonian", SAMPLE, "--t", "1.0", "--epsilon", "1e-12",
+             "--dd-method", "leibniz"]
         ) == 3
+
+    def test_taylor_route_runs_where_paths_would_not(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(
+            ["evolve", "--hamiltonian", SAMPLE, "--t", "1.0", "--epsilon", "1e-12",
+             "--output", str(out), "--check"]
+        ) == 0
+        assert float(read_csv(out)[0]["error_2norm"]) <= 1e-12
+
+    def test_non_finite_result_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "field20.txt"
+        path.write_text(
+            "20 ZIII\n20 IZII\n20 IIZI\n20 IIIZ\n0.3 XXII\n0.3 IXXI\n0.2 IIXX\n"
+        )
+        for command in ("evolve", "lcu"):
+            code = main([command, "--hamiltonian", str(path), "--t", "3", "--epsilon", "1e-6"])
+            assert code == 4
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure:") and err.count("\n") == 1
 
     def test_basis_initial_state(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -7,12 +7,14 @@ import pytest
 from conftest import random_pmr_hamiltonian, random_state
 
 from pmrsim import (
+    DdConfig,
     DenseOracle,
     Path,
     PauliString,
     evolve,
     gamma_bounds,
     parse_hamiltonian,
+    path_coefficient,
     pauli_to_pmr,
     plan_segments,
     uod_matrix,
@@ -259,6 +261,73 @@ class TestApplyUC:
             assert out.norm() == pytest.approx(1.0, abs=1e-12)
             back = apply_U_C(out, ops, direction="inverse")
             assert np.max(np.abs(back.amplitudes - comp.amplitudes)) < 1e-12
+
+
+def small_cases():
+    """(h, g, plan) with N <= 3, M <= 3 and Q <= 3, both signs of t."""
+    rng = np.random.default_rng(101)
+    for n, m, t, q in ((2, 2, 0.8, 3), (3, 3, -0.7, 3), (3, 2, 1.1, 2), (1, 1, 0.5, 3)):
+        h = random_pmr_hamiltonian(rng, n=n, m_terms=m)
+        g = gamma_bounds(h)
+        yield h, g, plan_segments(h, g, t, 1e-3, q_override=q)
+
+
+class TestVectorizedTables:
+    """The level-batched tables and the single-gather U_C against per-path
+    and per-block definitions."""
+
+    @pytest.mark.parametrize("method", ["taylor", "leibniz"])
+    def test_tables_reproduce_scalar_beta(self, method):
+        dd = DdConfig(method=method)
+        for h, g, plan in small_cases():
+            masks = h.x_masks()
+            for bits, tol in ((None, 1e-12), (8, 2 * math.pi / 2**8), (16, 2 * math.pi / 2**16)):
+                ops = SegmentOperators(h, g, plan, LcuConfig(phase_bits=bits, dd=dd))
+                for path in ops.layout.paths():
+                    cum, ph0, ph1 = ops.tables(path)
+                    assert cum == int(np.bitwise_xor.reduce(masks[list(path)], initial=0))
+                    for z in range(1 << h.n_qubits):
+                        beta = path_coefficient(h, g, plan, z, Path(path), dd).beta
+                        # e^{i(chi + phi)} + e^{i(chi - phi)} = 2 cos(phi) e^{i chi}
+                        assert abs(0.5 * (ph0[z] + ph1[z]) - beta) <= tol
+                    if bits is None:
+                        # k = 0 carries chi + phi with phi = arccos|beta| >= 0
+                        assert np.all(np.imag(ph0 * ph1.conj()) >= -1e-12)
+                    else:
+                        steps = np.angle(np.concatenate((ph0, ph1))) / (2 * math.pi / 2**bits)
+                        assert np.max(np.abs(steps - np.round(steps))) <= 1e-6
+
+    def test_apply_U_C_blockwise(self):
+        rng = np.random.default_rng(103)
+        for h, g, plan in small_cases():
+            ops = SegmentOperators(h, g, plan, LcuConfig(phase_bits=8))
+            layout, dim = ops.layout, 1 << h.n_qubits
+            assert not all(layout.is_valid(a) for a in range(layout.anc_dim))
+            z = np.arange(dim)
+            comp = random_composite(rng, layout, h.n_qubits)
+            fwd = apply_U_C(comp, ops)
+            inv = apply_U_C(comp, ops, direction="inverse")
+            for a in range(layout.anc_dim):
+                path, k = layout.path_of(a)
+                cum, ph0, ph1 = ops.tables(path)
+                phases, block = (ph0, ph1)[k], comp.block(a)
+                assert np.array_equal(fwd.block(a), (phases * block)[z ^ cum])
+                assert np.array_equal(inv.block(a), phases.conj() * block[z ^ cum])
+
+    def test_prepare_psi0_per_path_formula(self):
+        for h, g, plan in small_cases():
+            for config in (LcuConfig(), LcuConfig(s_override=2.0)):
+                gam, s = lcu_weights(g, plan, config)
+                layout = AncillaLayout(plan.Q, h.m)
+                expected = np.zeros(layout.anc_dim)
+                for path in layout.paths():
+                    q = len(path)
+                    weight = np.prod(gam[list(path)]) * abs(plan.delta_t) ** q / math.factorial(q)
+                    for k in (0, 1):
+                        expected[layout.index(path, k)] = math.sqrt(weight / (2 * s))
+                got = prepare_psi0(g, plan, config)
+                assert np.max(np.abs(got - expected)) <= 1e-12
+                assert np.all(got[expected == 0] == 0)
 
 
 class TestReflection:

@@ -14,6 +14,7 @@ from pmrsim import (
     DenseOracle,
     Path,
     PauliString,
+    SeriesConvergenceError,
     WorkBudgetExceededError,
     apply_diagonal,
     apply_uod_truncated,
@@ -28,7 +29,7 @@ from pmrsim import (
     series_tail,
     uod_matrix,
 )
-from pmrsim.series import LN2, _uod_paths
+from pmrsim.series import DEFAULT_WORK_BUDGET, LN2, _uod_paths
 
 LADDER = pauli_to_pmr(parse_hamiltonian("1.0 Z\n1.0 X\n"))
 LADDER_G = gamma_bounds(LADDER)
@@ -216,10 +217,18 @@ class TestApplyUod:
         g = gamma_bounds(h)
         plan = plan_segments(h, g, 1.2, 1e-4)
         psi = random_state(rng, 4)
+        # path enumeration (the reference route) is priced M^Q * 2^N
         with pytest.raises(WorkBudgetExceededError) as err:
-            apply_uod_truncated(h, g, plan, psi, work_budget=10)
+            apply_uod_truncated(
+                h, g, plan, psi, DdConfig(method="leibniz"), work_budget=10
+            )
         assert f"{h.m}^{plan.Q}" in str(err.value)
         assert err.value.product == h.m ** plan.Q * 16
+        # the taylor recursion is priced Q * M * 2^N
+        with pytest.raises(WorkBudgetExceededError) as err:
+            apply_uod_truncated(h, g, plan, psi, work_budget=10)
+        assert f"{plan.Q} * {h.m} * 2^4" in str(err.value)
+        assert err.value.product == plan.Q * h.m * 16
 
 
 class TestSegmentMatrix:
@@ -474,6 +483,26 @@ class TestRecursionVsReference:
             assert np.all(out[counts != counts[z0]] == 0)
             assert np.linalg.norm(out - DenseOracle(h).evolve(psi, t)) <= eps
 
+    def test_number_sector_within_default_budget(self):
+        # 8^9 * 2^5 paths exceed the default budget, but the recursion's
+        # Q * M * 2^N gathers do not
+        h = number_conserving_hamiltonian(np.random.default_rng(500), 5)
+        g = gamma_bounds(h)
+        plan = plan_segments(h, g, 4.0, 1e-6)
+        assert h.m ** plan.Q * 32 > DEFAULT_WORK_BUDGET
+        psi = np.zeros(32, dtype=complex)
+        psi[0b01011] = 1.0
+        out = evolve(h, g, psi, 4.0, 1e-6)
+        assert np.linalg.norm(out - DenseOracle(h).evolve(psi, 4.0)) <= 1e-6
+
+    def test_reference_route_still_prices_paths(self):
+        h = number_conserving_hamiltonian(np.random.default_rng(500), 5)
+        g = gamma_bounds(h)
+        psi = np.zeros(32, dtype=complex)
+        psi[0b01011] = 1.0
+        with pytest.raises(WorkBudgetExceededError, match="path work M\\^Q"):
+            evolve(h, g, psi, 4.0, 1e-6, DdConfig(method="leibniz"))
+
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
@@ -494,3 +523,31 @@ def test_evolve_within_epsilon_of_oracle(seed, n, m_terms, T, sign):
     eps = 1e-6
     out = evolve(h, g, psi, t, eps)
     assert np.linalg.norm(out - DenseOracle(h).evolve(psi, t)) <= eps
+
+
+class TestNonFiniteResult:
+    """A Z field of 20 on every qubit makes |dt| * spread(E) / 2 so large
+    that the taylor route's h_n profile overflows float64."""
+
+    H = pauli_to_pmr(
+        parse_hamiltonian(
+            "20 ZIII\n20 IZII\n20 IIZI\n20 IIIZ\n0.3 XXII\n0.3 IXXI\n0.2 IIXX\n"
+        )
+    )
+
+    def test_evolve_raises(self):
+        g = gamma_bounds(self.H)
+        psi = random_state(np.random.default_rng(600), 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SeriesConvergenceError, match="not finite"):
+                evolve(self.H, g, psi, 3.0, 1e-6)
+
+    def test_segment_raises(self):
+        g = gamma_bounds(self.H)
+        plan = plan_segments(self.H, g, 3.0, 1e-6)
+        psi = random_state(np.random.default_rng(601), 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SeriesConvergenceError, match="not finite"):
+                apply_uod_truncated(self.H, g, plan, psi)
+            with pytest.raises(SeriesConvergenceError, match="not finite"):
+                uod_matrix(self.H, g, plan)
