@@ -39,6 +39,7 @@ __all__ = [
     "small_tau_error",
     "dd_magnitude",
     "exp_prefactor",
+    "series_order",
 ]
 
 MAX_LEIBNIZ_ORDER = 64
@@ -114,11 +115,21 @@ def dd_exp_naive(
     return complex(np.sum(terms))
 
 
-def _hsum_terms(q: int, t: float, ymax: float, tol: float):
-    """Series-control helper: term bound A^n/n! and a rigorous tail cap."""
-    A = abs(t) * ymax
-    budget = int(10 * (q + A + 20)) + 2
-    return A, budget
+def series_order(amp: float, tol: float) -> int:
+    """Smallest degree n whose tail cap amp^{n+1}/(n+1)! / (1 - amp/(n+2))
+    is at most ``tol``: the truncation order of a Taylor-form series whose
+    inputs lie within amp/|t| of their shift point."""
+    n, bound = 0, 1.0
+    budget = int(10 * (amp + 20)) + 64
+    while True:
+        n += 1
+        bound *= amp / n
+        if n + 2 > amp and bound * (amp / (n + 1)) / (1 - amp / (n + 2)) <= tol:
+            return n
+        if n > budget:
+            raise SeriesConvergenceError(
+                f"series needs more than {budget} terms (|t|*spread ~ {amp:.3g})"
+            )
 
 
 def dd_exp_taylor(values, t: float, tol: float = 1e-13) -> complex:
@@ -145,7 +156,8 @@ def _hsum(y: np.ndarray, t: float, tol: float) -> complex:
     ymax = float(np.max(np.abs(y))) if len(y) else 0.0
     if ymax == 0.0 or t == 0.0:
         return 1.0 + 0.0j
-    A, budget = _hsum_terms(q, t, ymax, tol)
+    A = abs(t) * ymax
+    budget = int(10 * (q + A + 20)) + 2
     # profile[j] = h_n(y_0..y_j) for the current degree n
     profile = np.ones(q + 1, dtype=float)
     ratio = 1.0 + 0.0j
@@ -178,7 +190,7 @@ def dd_exp_taylor_batch(seqs: np.ndarray, t: float, tol: float = 1e-13) -> np.nd
     """Vectorized Taylor-form evaluation over rows of equal length.
 
     ``seqs`` has shape (rows, q+1); returns e^{-it[row]} for every row.  The
-    truncation order is chosen once from the largest spread in the batch.
+    truncation order is ``series_order`` of the largest spread in the batch.
     For real t the per-degree coefficient alternates between purely real and
     purely imaginary, so the sum accumulates in two real arrays.
     """
@@ -194,17 +206,7 @@ def dd_exp_taylor_batch(seqs: np.ndarray, t: float, tol: float = 1e-13) -> np.nd
     ymax = float(np.max(np.abs(y)))
     if ymax == 0.0:
         return out
-    A, budget = _hsum_terms(q, t, ymax, tol)
-    n_max, bound = 0, 1.0
-    while True:
-        n_max += 1
-        bound *= A / n_max
-        if n_max + 2 > A and bound * (A / (n_max + 1)) / (1 - A / (n_max + 2)) <= tol:
-            break
-        if n_max > budget:
-            raise SeriesConvergenceError(
-                f"batch series needs more than {budget} terms (|t|*spread~{A:.3g})"
-            )
+    n_max = series_order(abs(t) * ymax, tol)
     profile = np.ones_like(y)
     acc_re = np.ones(rows)
     acc_im = np.zeros(rows)

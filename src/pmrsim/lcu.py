@@ -9,7 +9,9 @@ conditioned on the ancilla, a diagonal phase pair and the path's bit flips.
 
 Everything is plain state-vector arithmetic, and no operator is
 materialized densely.  Each SegmentOperators builds its phase tables level
-by level for all paths at once and keeps one phase row and flip mask per
+by level from the path enumerator it shares with ``series``
+(``series._path_levels``); a path that is zero at every source is not
+evaluated and gets beta = 0.  It keeps one phase row and flip mask per
 ancilla index, so U_C acts on every block in a single gather.
 """
 
@@ -24,7 +26,8 @@ import numpy as np
 from .divdiff import DdConfig
 from .oracle import DenseOracle
 from .pmr import GammaBounds, PmrHamiltonian
-from .series import LN2, SegmentPlan, _batch_dd, _require_finite, plan_segments
+from .series import (LN2, SegmentPlan, _path_levels, _require_finite, apply_diagonal,
+                     partial_exp_sum, plan_segments)
 
 __all__ = [
     "AncillaLayout",
@@ -172,22 +175,14 @@ class CompositeState:
         return CompositeState(self.amplitudes.copy(), self.layout, self.n_qubits)
 
 
-def _partial_exp_sum(x: float, order: int) -> float:
-    total, term = 1.0, 1.0
-    for k in range(1, order + 1):
-        term *= x / k
-        total += term
-    return total
-
-
 def _solve_weight_rate(order: int, target: float) -> float:
     """x with sum_{q<=order} x^q/q! = target (Newton; monotone in x)."""
     if target <= 1.0:
         raise ValueError("normalization target must exceed 1")
     x = LN2
     for _ in range(100):
-        f = _partial_exp_sum(x, order) - target
-        fp = _partial_exp_sum(x, order - 1) if order >= 1 else 0.0
+        f = partial_exp_sum(x, order) - target
+        fp = partial_exp_sum(x, order - 1) if order >= 1 else 0.0
         if fp == 0.0:
             raise ValueError("cannot solve for the requested normalization")
         step = f / fp
@@ -279,7 +274,10 @@ def apply_B(
     v[0] -= 1.0
     vnorm2 = float(np.real(np.vdot(v, v)))
     if vnorm2 > 0.0:
-        mat = mat - np.outer(v, (2.0 / vnorm2) * (v.conj() @ mat))
+        coef = (2.0 / vnorm2) * (v.conj() @ mat)
+        rows = np.flatnonzero(v)  # row 0 and the valid patterns
+        mat = mat.copy()
+        mat[rows] -= np.outer(v[rows], coef)
     return CompositeState(mat.reshape(-1), state.layout, state.n_qubits)
 
 
@@ -299,29 +297,19 @@ def _path_tables(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per level q, the cumulative flip masks (P,) and per-source phase pairs
     e^{i theta_0}, e^{i theta_1} (P, 2^N) of every path with i_j in
-    ``levels[j-1]``, in lexicographic order; level 0 is the empty path.  Each
-    level extends all of the previous level's paths at once and makes one
-    divided-difference batch."""
+    ``levels[j-1]``, in lexicographic order; level 0 is the empty path.  The
+    path coefficients come from ``series._path_levels``; a path it drops is
+    zero at every source and gets beta = 0."""
     dim = 1 << h.n_qubits
-    energies = h.diagonal_values()
-    d_tab = np.array([h.term_values(i) for i in range(h.m)])
-    masks = h.x_masks()
-    cum = np.zeros(1, dtype=np.int64)
-    seq = np.zeros((1, dim, 1))
-    dprod = np.ones((1, dim), dtype=complex)
+    ones = np.ones((1, dim), dtype=complex)
+    out = [(np.zeros(1, dtype=np.int64), ones, ones)]  # the empty path has beta = 1
     gam_path = np.ones(1)
-    out = [(cum, dprod, dprod)]  # the empty path has beta = 1
-    for q, terms in enumerate(levels, start=1):
-        terms = np.asarray(terms, dtype=np.int64)
-        parent, child = np.divmod(np.arange(len(cum) * len(terms)), len(terms))
-        cum = np.bitwise_xor.outer(cum, masks[terms]).reshape(-1)
-        dest = cum[:, None] ^ np.arange(dim)
-        seq = np.concatenate((seq[parent], (energies[dest] - energies)[..., None]), axis=2)
-        dprod = dprod[parent] * d_tab[terms[child][:, None], dest]
-        gam_path = np.outer(gam_path, gam[terms]).reshape(-1)
-        dd = _batch_dd(seq.reshape(-1, q + 1), plan.delta_t, config.dd).reshape(dest.shape)
-        weight = (gam_path * abs(plan.delta_t) ** q / math.factorial(q))[:, None]
-        beta = np.divide(dd * dprod, weight, out=np.zeros_like(dd), where=weight != 0.0)
+    paths = _path_levels(h, plan, np.arange(dim), config.dd, levels)
+    for q, (terms, (flips, keep, _, coeff)) in enumerate(zip(levels, paths), start=1):
+        gam_path = np.outer(gam_path, gam[list(terms)]).reshape(-1)
+        weight = (gam_path[keep] * abs(plan.delta_t) ** q / math.factorial(q))[:, None]
+        beta = np.zeros((len(flips), dim), dtype=complex)
+        beta[keep] = np.divide(coeff, weight, out=np.zeros_like(coeff), where=weight != 0.0)
         mag = np.abs(beta)
         chi = np.where(mag > 0, np.angle(beta), 0.0)
         phi = np.arccos(np.clip(mag, 0.0, 1.0))
@@ -329,7 +317,7 @@ def _path_tables(
         if config.phase_bits is not None:
             theta0 = _quantize_angle(theta0, config.phase_bits)
             theta1 = _quantize_angle(theta1, config.phase_bits)
-        out.append((cum, np.exp(1j * theta0), np.exp(1j * theta1)))
+        out.append((flips, np.exp(1j * theta0), np.exp(1j * theta1)))
     return out
 
 
@@ -350,6 +338,11 @@ def compute_phase_angles(
     indices = tuple(path.indices) if hasattr(path, "indices") else tuple(path)
     if len(indices) > plan.Q:
         raise ValueError(f"path length {len(indices)} exceeds plan order Q={plan.Q}")
+    if not 0 <= z < 1 << h.n_qubits:
+        raise ValueError(f"basis index {z} out of range")
+    for i in indices:
+        if not 0 <= i < h.m:
+            raise IndexError(f"term index {i} out of range for M={h.m}")
     gam, _ = lcu_weights(g, plan, config)
     _, ph0, ph1 = _path_tables(h, gam, plan, config, [[i] for i in indices])[-1]
     theta0, theta1 = float(np.angle(ph0[0, z])), float(np.angle(ph1[0, z]))
@@ -524,8 +517,6 @@ def evolve_lcu(
     state = np.asarray(state, dtype=complex)
     plan = plan_segments(h, g, t, epsilon)
     if plan.diagonal_only:
-        from .series import apply_diagonal
-
         return apply_diagonal(h, state, t), []
     composite_dim = (h.m + 1) ** plan.Q * 2 * (1 << h.n_qubits)
     if composite_dim > composite_budget:

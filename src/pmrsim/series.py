@@ -19,6 +19,9 @@ O(M^Q * 2^N * n_max).  The naive, pyramid and leibniz methods are nonlinear
 in the path and keep the reference route ``_uod_paths``, which enumerates
 every path.
 
+One enumerator, ``_path_levels``, serves ``_uod_paths`` and the phase
+tables of ``lcu``; it skips paths that are zero at every source.
+
 Segment bookkeeping pins the per-segment expansion rate at ln 2: the input
 bounds gamma_i are scaled up (never down) so the working total satisfies
 gamma_total * |dt| = ln 2, which makes the normalization s = 2 - tail hold
@@ -39,6 +42,7 @@ from .divdiff import (
     dd_exp,
     dd_exp_taylor_batch,
     exp_prefactor,
+    series_order,
 )
 from .pmr import GammaBounds, PmrHamiltonian, diagonal_energy, hopping_strength
 
@@ -50,6 +54,7 @@ __all__ = [
     "WorkBudgetExceededError",
     "series_tail",
     "truncation_order",
+    "partial_exp_sum",
     "plan_segments",
     "path_coefficient",
     "apply_diagonal",
@@ -109,6 +114,15 @@ def truncation_order(epsilon_per_segment: float, x: float = LN2) -> int:
     return order
 
 
+def partial_exp_sum(x: float, order: int) -> float:
+    """sum_{q <= order} x^q / q!, its terms summed by fsum."""
+    terms, term = [1.0], 1.0
+    for k in range(1, order + 1):
+        term *= x / k
+        terms.append(term)
+    return math.fsum(terms)
+
+
 @dataclass(frozen=True)
 class SegmentPlan:
     """Derived evolution parameters for one run.
@@ -163,11 +177,7 @@ def plan_segments(
     delta_t = t / r
     order = truncation_order(epsilon / r) if q_override is None else int(q_override)
     tail = series_tail(order)
-    partial, term = [1.0], 1.0
-    for k in range(1, order + 1):
-        term *= LN2 / k
-        partial.append(term)
-    s = math.fsum(partial)
+    s = partial_exp_sum(LN2, order)
     scale = LN2 / (g.gamma_total * abs(delta_t))
     return SegmentPlan(
         t_total=t, epsilon=epsilon, gamma_total=g.gamma_total * scale, T=T,
@@ -299,17 +309,34 @@ def _bincount_complex(idx: np.ndarray, values: np.ndarray, size: int) -> np.ndar
     )
 
 
-def _series_order(amp: float, tol: float) -> int:
-    """Number of correction degrees so the A^n/n! tail drops below tol."""
-    n_max, bound = 0, 1.0
-    budget = int(10 * (amp + 20)) + 64
-    while True:
-        n_max += 1
-        bound *= amp / n_max
-        if n_max + 2 > amp and bound * (amp / (n_max + 1)) / (1 - amp / (n_max + 2)) <= tol:
-            return n_max
-        if n_max > budget:
-            raise ValueError(f"series order diverges (|t|*spread ~ {amp:.3g})")
+def _path_levels(
+    h: PmrHamiltonian, plan: SegmentPlan, sources: np.ndarray, config: DdConfig, levels
+):
+    """Per level q, the flip masks of all paths (i_1..i_q), i_j in
+    ``levels[j-1]``, in lexicographic order; the positions of the kept paths
+    in that order; their destinations z ^ mask (kept, sources); and their
+    coefficients e^{-i dt [0, E_{z_1} - E_z, ...]} * prod_j d_{i_j}(z_j),
+    from one divided-difference batch.  A path whose hopping product is zero
+    at every source is dropped, and so are its extensions."""
+    energies = h.diagonal_values()
+    d_tab = np.array([h.term_values(i) for i in range(h.m)])
+    masks = h.x_masks()
+    e_src = energies[sources]
+    flips = keep = np.zeros(1, dtype=np.int64)
+    seq = np.zeros((1, len(sources), 1))
+    dprod = np.ones((1, len(sources)), dtype=complex)
+    for q, terms in enumerate(levels, start=1):
+        terms = np.asarray(terms, dtype=np.int64)
+        parent, child = np.divmod(np.arange(len(keep) * len(terms)), len(terms))
+        flips = np.bitwise_xor.outer(flips, masks[terms]).reshape(-1)
+        keep = keep[parent] * len(terms) + child
+        dest = flips[keep][:, None] ^ sources
+        dprod = dprod[parent] * d_tab[terms[child][:, None], dest]
+        live = np.flatnonzero(np.any(dprod != 0, axis=1))
+        parent, keep, dest, dprod = parent[live], keep[live], dest[live], dprod[live]
+        seq = np.concatenate((seq[parent], (energies[dest] - e_src)[..., None]), axis=2)
+        dd = _batch_dd(seq.reshape(-1, q + 1), plan.delta_t, config).reshape(dest.shape)
+        yield flips, keep, dest, dd * dprod
 
 
 def _uod_paths(
@@ -328,8 +355,9 @@ def _uod_paths(
     that the taylor recursion is checked against.  With ``weights`` (source
     amplitudes) the result is the output state; with ``weights=None`` it is
     the dense off-diagonal segment matrix over the given source columns.
-    Paths extend breadth-first, term index ascending, and per-level deposits
-    are merged with compensated accumulation, so outputs are reproducible.
+    Paths come from ``_path_levels`` in lexicographic order, and per-level
+    deposits are merged with compensated accumulation, so outputs are
+    reproducible.
     """
     _check_budget(h, plan, work_budget)
     dim = 1 << h.n_qubits
@@ -345,56 +373,23 @@ def _uod_paths(
     if plan.Q == 0 or h.m == 0 or n_src == 0:
         return acc.reshape((dim, dim)) if matrix_mode else acc
 
-    energies = h.diagonal_values()
-    d_tab = np.array([h.term_values(i) for i in range(h.m)])
-    masks = h.x_masks().astype(np.int32)
-    sources = sources.astype(np.int32)
-    e_src = energies[sources]
-    dt = plan.delta_t
-    seq = np.zeros((1, n_src, 1), dtype=float)
-
-    cum = np.zeros(1, dtype=np.int32)
-    dprod = np.ones((1, n_src), dtype=complex)
-    for q in range(1, plan.Q + 1):
-        cum_new = np.bitwise_xor.outer(cum, masks).reshape(-1)
-        term_new = np.tile(np.arange(h.m), len(cum))
-        dest = np.bitwise_xor.outer(cum_new, sources)
-        delta_e = energies[dest] - e_src[None, :]
-        dprod_new = np.repeat(dprod, h.m, axis=0)
-        dprod_new *= d_tab[term_new[:, None], dest]
-
-        live = np.flatnonzero(np.any(dprod_new != 0, axis=1))
-        if len(live) == 0:
+    paths = _path_levels(h, plan, sources, config, [range(h.m)] * plan.Q)
+    for _, keep, dest, coeff in paths:
+        if len(keep) == 0:
             break
-        cum_new, dest = cum_new[live], dest[live]
-        delta_e, dprod_new = delta_e[live], dprod_new[live]
-        nt = len(cum_new)
-
-        seq_new = np.empty((nt, n_src, q + 1), dtype=float)
-        seq_new[:, :, :q] = np.repeat(seq, h.m, axis=0)[live]
-        seq_new[:, :, q] = delta_e
-        coeff_full = _batch_dd(
-            seq_new.reshape(nt * n_src, q + 1), dt, config
-        ).reshape(nt, n_src)
-        coeff_full *= dprod_new
-        seq = seq_new
-
-        flat_rows = nt * n_src
-        coeff_flat = coeff_full.reshape(flat_rows)
-        dest_flat = dest.reshape(flat_rows)
+        coeff_flat, dest_flat = coeff.ravel(), dest.ravel()
         level = np.zeros(size, dtype=complex)
-        for lo in range(0, flat_rows, _EVAL_CHUNK_ROWS):
-            hi = min(lo + _EVAL_CHUNK_ROWS, flat_rows)
+        for lo in range(0, coeff.size, _EVAL_CHUNK_ROWS):
+            hi = min(lo + _EVAL_CHUNK_ROWS, coeff.size)
             col_pos = np.arange(lo, hi) % n_src
             if matrix_mode:
-                flat_idx = dest_flat[lo:hi].astype(np.int64) * dim + sources[col_pos]
+                flat_idx = dest_flat[lo:hi] * dim + sources[col_pos]
                 level += _bincount_complex(flat_idx, coeff_flat[lo:hi], size)
             else:
                 level += _bincount_complex(
                     dest_flat[lo:hi], coeff_flat[lo:hi] * weights[col_pos], size
                 )
         _neumaier_add(acc, comp, level)
-        cum, dprod = cum_new, dprod_new
     out = acc + comp
     return out.reshape((dim, dim)) if matrix_mode else out
 
@@ -449,7 +444,7 @@ class _Recursion:
         self.energies = energies
         dt = plan.delta_t
         amp = abs(dt) * (hi - lo) / 2
-        n_max = _series_order(amp, tol) if amp > 0.0 else 0
+        n_max = series_order(amp, tol) if amp > 0.0 else 0
         self.pref = np.empty((plan.Q + 1, n_max + 1), dtype=complex)
         for q in range(plan.Q + 1):
             self.pref[q, 0] = exp_prefactor(q, dt)

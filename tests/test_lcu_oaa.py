@@ -37,6 +37,7 @@ from pmrsim.lcu import (
     psi0_unary_cascade,
 )
 from pmrsim.series import LN2
+from test_offdiag_series import number_conserving_hamiltonian
 
 LADDER = pauli_to_pmr(parse_hamiltonian("1.0 Z\n1.0 X\n"))
 LADDER_G = gamma_bounds(LADDER)
@@ -180,6 +181,17 @@ class TestComputePhaseAngles:
         assert chi == pytest.approx(0.0, abs=1e-14)
         assert phi == pytest.approx(math.pi / 2)
 
+    def test_rejects_out_of_range_input(self):
+        _, h, g, plan, _ = small_setup()
+        for z in (-1, 1 << h.n_qubits):
+            for fn in (compute_phase_angles, path_coefficient):
+                with pytest.raises(ValueError, match="basis index"):
+                    fn(h, g, plan, z, Path((0,)))
+        for i in (-1, h.m):
+            for fn in (compute_phase_angles, path_coefficient):
+                with pytest.raises(IndexError):
+                    fn(h, g, plan, 0, Path((0, i)))
+
     def test_round_trip_exact_and_quantized(self):
         rng, h, g, plan, ops = small_setup(seed=7)
         from pmrsim import path_coefficient
@@ -279,23 +291,37 @@ class TestVectorizedTables:
     @pytest.mark.parametrize("method", ["taylor", "leibniz"])
     def test_tables_reproduce_scalar_beta(self, method):
         dd = DdConfig(method=method)
-        for h, g, plan in small_cases():
+        # number-conserving hopping vanishes on equal bits, so some paths are
+        # zero at every source and the level batches drop them
+        h_nc = number_conserving_hamiltonian(np.random.default_rng(1), 3)
+        g_nc = gamma_bounds(h_nc)
+        plan_nc = plan_segments(h_nc, g_nc, 0.9, 1e-3, q_override=3)
+        dropped = 0
+        for h, g, plan in (*small_cases(), (h_nc, g_nc, plan_nc)):
             masks = h.x_masks()
             for bits, tol in ((None, 1e-12), (8, 2 * math.pi / 2**8), (16, 2 * math.pi / 2**16)):
                 ops = SegmentOperators(h, g, plan, LcuConfig(phase_bits=bits, dd=dd))
                 for path in ops.layout.paths():
                     cum, ph0, ph1 = ops.tables(path)
                     assert cum == int(np.bitwise_xor.reduce(masks[list(path)], initial=0))
-                    for z in range(1 << h.n_qubits):
-                        beta = path_coefficient(h, g, plan, z, Path(path), dd).beta
-                        # e^{i(chi + phi)} + e^{i(chi - phi)} = 2 cos(phi) e^{i chi}
-                        assert abs(0.5 * (ph0[z] + ph1[z]) - beta) <= tol
+                    betas = [
+                        path_coefficient(h, g, plan, z, Path(path), dd).beta
+                        for z in range(1 << h.n_qubits)
+                    ]
+                    # e^{i(chi + phi)} + e^{i(chi - phi)} = 2 cos(phi) e^{i chi}
+                    assert np.max(np.abs(0.5 * (ph0 + ph1) - betas)) <= tol
+                    if not np.any(betas) and bits is None:
+                        # beta = 0 is phi = pi/2, chi = 0
+                        dropped += 1
+                        assert np.max(np.abs(ph0 - 1j)) <= 1e-15
+                        assert np.max(np.abs(ph1 + 1j)) <= 1e-15
                     if bits is None:
                         # k = 0 carries chi + phi with phi = arccos|beta| >= 0
                         assert np.all(np.imag(ph0 * ph1.conj()) >= -1e-12)
                     else:
                         steps = np.angle(np.concatenate((ph0, ph1))) / (2 * math.pi / 2**bits)
                         assert np.max(np.abs(steps - np.round(steps))) <= 1e-6
+        assert dropped > 0
 
     def test_apply_U_C_blockwise(self):
         rng = np.random.default_rng(103)
