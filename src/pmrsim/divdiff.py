@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 MAX_LEIBNIZ_ORDER = 64
+SERIES_TOL = 1e-13
 
 
 class RepeatedInputsError(ValueError):
@@ -59,22 +60,14 @@ class SeriesConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DdConfig:
-    """Evaluator selection and tolerances.
-
-    ``doubling_depth`` of None picks the smallest l with
-    (t/2^l) * max|x - mean(x)| <= 1/16, keeping the seed error of the
-    doubling table at the 1e-9 level after amplification.
-    """
+    """Evaluator selection: taylor (to ``SERIES_TOL``), naive, pyramid or
+    leibniz (at ``auto_doubling_depth``)."""
 
     method: str = "taylor"
-    series_tol: float = 1e-13
-    doubling_depth: int | None = None
-    tie_tolerance: float | None = None
 
 
-def _tie_tol(values: np.ndarray, tie_tolerance: float | None) -> float:
-    if tie_tolerance is not None:
-        return tie_tolerance
+def _tie_tol(values: np.ndarray) -> float:
+    """Inputs closer than 1e-9 * max(1, max |x|) count as repeated."""
     scale = float(np.max(np.abs(values))) if len(values) else 0.0
     return 1e-9 * max(1.0, scale)
 
@@ -87,9 +80,7 @@ def exp_prefactor(q: int, t: float) -> complex:
     return pref
 
 
-def dd_exp_naive(
-    values, t: float, tie_tolerance: float | None = None
-) -> complex:
+def dd_exp_naive(values, t: float) -> complex:
     """Defining sum: sum_j e^{-it x_j} / prod_{k != j} (x_j - x_k).
 
     The sum cancels down to t^q/q! from much larger terms, so it runs in
@@ -102,7 +93,7 @@ def dd_exp_naive(
         return complex(np.exp(-1j * t * x[0]))
     diff = x[:, None] - x[None, :]
     off = ~np.eye(len(x), dtype=bool)
-    if np.min(np.abs(diff[off])) <= _tie_tol(x, tie_tolerance):
+    if np.min(np.abs(diff[off])) <= _tie_tol(x):
         raise RepeatedInputsError(
             "inputs repeat (or nearly repeat); the defining sum is ill-conditioned"
         )
@@ -132,7 +123,7 @@ def series_order(amp: float, tol: float) -> int:
             )
 
 
-def dd_exp_taylor(values, t: float, tol: float = 1e-13) -> complex:
+def dd_exp_taylor(values, t: float, tol: float = SERIES_TOL) -> complex:
     """Mean-shifted series oracle.
 
     Computes e^{-it xbar} * sum_n (-it)^{q+n}/(q+n)! * h_n(x - xbar) where
@@ -186,7 +177,7 @@ def _hsum(y: np.ndarray, t: float, tol: float) -> complex:
     )
 
 
-def dd_exp_taylor_batch(seqs: np.ndarray, t: float, tol: float = 1e-13) -> np.ndarray:
+def dd_exp_taylor_batch(seqs: np.ndarray, t: float, tol: float = SERIES_TOL) -> np.ndarray:
     """Vectorized Taylor-form evaluation over rows of equal length.
 
     ``seqs`` has shape (rows, q+1); returns e^{-it[row]} for every row.  The
@@ -224,9 +215,7 @@ def dd_exp_taylor_batch(seqs: np.ndarray, t: float, tol: float = 1e-13) -> np.nd
     return out
 
 
-def effective_energy_pyramid(
-    values, t: float, tie_tolerance: float | None = None
-) -> complex:
+def effective_energy_pyramid(values, t: float) -> complex:
     """Apex of the effective-energy recursion over sorted inputs.
 
     The returned complex energy E satisfies
@@ -239,7 +228,7 @@ def effective_energy_pyramid(
     x = np.sort(np.asarray(values, dtype=float))
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("values must be a nonempty 1-d sequence")
-    tie = _tie_tol(x, tie_tolerance)
+    tie = _tie_tol(x)
     # each level divides by a difference of nearly equal children, so the
     # recursion runs in extended precision where the platform provides it
     xl = x.astype(np.longdouble)
@@ -269,9 +258,7 @@ def effective_energy_pyramid(
     return complex(level[0])
 
 
-def dd_exp_pyramid(
-    values, t: float, tie_tolerance: float | None = None
-) -> complex:
+def dd_exp_pyramid(values, t: float) -> complex:
     """e^{-it[x]} through the effective-energy pyramid."""
     x = np.asarray(values, dtype=float)
     q = len(x) - 1
@@ -279,7 +266,7 @@ def dd_exp_pyramid(
         return complex(np.exp(-1j * t * x[0]))
     if t == 0.0:
         return 0j
-    eff = effective_energy_pyramid(x, t, tie_tolerance)
+    eff = effective_energy_pyramid(x, t)
     return complex(np.exp(-1j * t * eff) * exp_prefactor(q, t))
 
 
@@ -380,11 +367,11 @@ def dd_exp(values, t: float, config: DdConfig | None = None) -> complex:
     """Evaluate e^{-it[x]} with the configured method."""
     cfg = config or DdConfig()
     if cfg.method == "taylor":
-        return dd_exp_taylor(values, t, cfg.series_tol)
+        return dd_exp_taylor(values, t)
     if cfg.method == "naive":
-        return dd_exp_naive(values, t, cfg.tie_tolerance)
+        return dd_exp_naive(values, t)
     if cfg.method == "pyramid":
-        return dd_exp_pyramid(values, t, cfg.tie_tolerance)
+        return dd_exp_pyramid(values, t)
     if cfg.method == "leibniz":
-        return dd_exp_leibniz(values, t, cfg.doubling_depth)
+        return dd_exp_leibniz(values, t)
     raise ValueError(f"unknown divided-difference method {cfg.method!r}")

@@ -26,8 +26,8 @@ import numpy as np
 from .divdiff import DdConfig
 from .oracle import DenseOracle
 from .pmr import GammaBounds, PmrHamiltonian
-from .series import (LN2, SegmentPlan, _path_levels, _require_finite, apply_diagonal,
-                     partial_exp_sum, plan_segments)
+from .series import (LN2, SegmentPlan, _check_path, _path_levels, _require_finite,
+                     apply_diagonal, partial_exp_sum, plan_segments)
 
 __all__ = [
     "AncillaLayout",
@@ -336,13 +336,7 @@ def compute_phase_angles(
     """
     config = config or LcuConfig()
     indices = tuple(path.indices) if hasattr(path, "indices") else tuple(path)
-    if len(indices) > plan.Q:
-        raise ValueError(f"path length {len(indices)} exceeds plan order Q={plan.Q}")
-    if not 0 <= z < 1 << h.n_qubits:
-        raise ValueError(f"basis index {z} out of range")
-    for i in indices:
-        if not 0 <= i < h.m:
-            raise IndexError(f"term index {i} out of range for M={h.m}")
+    _check_path(h, plan, z, indices)
     gam, _ = lcu_weights(g, plan, config)
     _, ph0, ph1 = _path_tables(h, gam, plan, config, [[i] for i in indices])[-1]
     theta0, theta1 = float(np.angle(ph0[0, z])), float(np.angle(ph1[0, z]))
@@ -505,13 +499,13 @@ def evolve_lcu(
     epsilon: float,
     config: LcuConfig | None = None,
     composite_budget: int = DEFAULT_COMPOSITE_BUDGET,
-    with_residuals: bool | None = None,
 ) -> tuple[np.ndarray, list[SegmentDiagnostics]]:
     """Run r amplified segments, post-selecting the ancilla-zero block.
 
     Between segments the off-block amplitude is discarded (recorded in the
     diagnostics) and the system re-normalized.  Diagonal-only plans evolve
-    exactly without ancillas.
+    exactly without ancillas.  For N <= 6 each segment also records its
+    trace residual against the dense oracle.
     """
     config = config or LcuConfig()
     state = np.asarray(state, dtype=complex)
@@ -526,9 +520,7 @@ def evolve_lcu(
             f"exceeds budget {composite_budget}"
         )
     ops = SegmentOperators(h, g, plan, config)
-    if with_residuals is None:
-        with_residuals = h.n_qubits <= 6
-    oracle = DenseOracle(h) if with_residuals else None
+    oracle = DenseOracle(h) if h.n_qubits <= 6 else None
     diags: list[SegmentDiagnostics] = []
     sys = state
     for _ in range(plan.r):

@@ -45,36 +45,3 @@ class DenseOracle:
         """Dense e^{-iHt}."""
         v = self.eigenvectors
         return (v * np.exp(-1j * t * self.eigenvalues)) @ v.conj().T
-
-
-def trotter_first_order(
-    h: PmrHamiltonian, state: np.ndarray, t: float, steps: int
-) -> np.ndarray:
-    """Non-core first-order splitting comparator (test utility only).
-
-    Alternates e^{-i dt D0} with e^{-i dt D_i P_i} per term, the latter via
-    the dense two-state rotation each flip mask induces.  O(t^2/steps)
-    accurate; used only as a baseline in tests, never by the algorithm.
-    """
-    state = np.asarray(state, dtype=complex).copy()
-    dim = 1 << h.n_qubits
-    dt = t / steps
-    phases = np.exp(-1j * dt * h.d0.values().real)
-    z = np.arange(dim)
-    for _ in range(steps):
-        state = phases * state
-        for d, p in h.terms:
-            vals = d.values()
-            flipped = z ^ p.x_mask
-            # e^{-i dt D P} acts on each pair (u, l = u^mask) as the 2x2
-            # Hermitian block [[0, d(u)], [conj d(u), 0]]
-            upper = z[z < flipped]
-            lower = upper ^ p.x_mask
-            m01 = vals[upper]
-            mag = np.abs(m01)
-            cos = np.cos(dt * mag)
-            sinc = np.where(mag > 0, np.sin(dt * mag) / np.where(mag > 0, mag, 1.0), dt)
-            s_u, s_l = state[upper].copy(), state[lower].copy()
-            state[upper] = cos * s_u - 1j * sinc * m01 * s_l
-            state[lower] = cos * s_l - 1j * sinc * np.conj(m01) * s_u
-    return state

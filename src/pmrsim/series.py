@@ -1,23 +1,24 @@
 """Segmented evolution by the truncated off-diagonal series.
 
 The evolution e^{-iHt} is split into r identical segments U_od e^{-i dt D0}.
-Each segment's off-diagonal factor is the sum over flip paths
+Each segment's off-diagonal factor U_od is the sum over flip paths
 (i_1, ..., i_q), q <= Q, of e^{-i dt [0, dE_1, ..., dE_q]} * prod_j d_{i_j}
-deposited at the flipped basis state.  Everything here is matrix-free state
-arithmetic; no ancillas are involved.
+deposited at the flipped basis state.  No ancillas are involved.
 
-The default taylor method never enumerates paths.  In Taylor form a path's
-divided difference is a fixed linear functional of its profile of complete
-homogeneous symmetric polynomials h_n, and one more flip extends that
-profile linearly in the new state's energy.  After shifting every energy by
-one constant c (divided differences are shift-covariant, so each source
-takes the factor e^{i dt (E_z - c)}), all paths that end at the same basis
-state after q flips share one summed profile.  A level is then a gather over
-the M terms, the h_n extension and a deposit, on the states reachable from
-the source: O(Q * M * |R| * n_max) work per segment instead of
-O(M^Q * 2^N * n_max).  The naive, pyramid and leibniz methods are nonlinear
-in the path and keep the reference route ``_uod_paths``, which enumerates
-every path.
+One dispatcher, ``_segment``, applies U_od to every column of a (2^N, k)
+block (a state is a one-column block, the dense matrix the identity block),
+prices the work and picks one of two engines by method:
+
+* taylor: the basis-state recursion ``_apply_recursion``.  In Taylor form a
+  path's divided difference is a fixed linear functional of its profile of
+  complete homogeneous symmetric polynomials h_n, and one more flip extends
+  that profile linearly in the new state's energy.  With every energy
+  shifted by one constant (divided differences are shift-covariant), all
+  paths that end at the same state after q flips share one summed profile,
+  so a level is a gather over the M terms on the states R reachable from
+  the block: O(Q * M * |R| * n_max) work instead of O(M^Q * 2^N * n_max).
+* naive, pyramid, leibniz: nonlinear in the path, so ``_uod_paths``
+  enumerates every path.  It is also the recursion's small-N reference.
 
 One enumerator, ``_path_levels``, serves ``_uod_paths`` and the phase
 tables of ``lcu``; it skips paths that are zero at every source.
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divdiff import (
+    SERIES_TOL,
     DdConfig,
     SeriesConvergenceError,
     dd_exp,
@@ -209,14 +211,16 @@ class PathCoefficient:
     phi: float
 
 
-def path_states(h: PmrHamiltonian, z: int, path: Path) -> list[int]:
-    """Basis states z_1, ..., z_q visited after each flip."""
-    states = []
-    cur = z
-    for i in path.indices:
-        cur ^= h.terms[i][1].x_mask
-        states.append(cur)
-    return states
+def _check_path(h: PmrHamiltonian, plan: SegmentPlan, z: int, indices) -> None:
+    """Refuse a path longer than Q, a source outside [0, 2^N) or a term
+    index outside [0, M)."""
+    if len(indices) > plan.Q:
+        raise ValueError(f"path length {len(indices)} exceeds plan order Q={plan.Q}")
+    if not 0 <= z < 1 << h.n_qubits:
+        raise ValueError(f"basis index {z} out of range")
+    for i in indices:
+        if not 0 <= i < h.m:
+            raise IndexError(f"term index {i} out of range for M={h.m}")
 
 
 def path_coefficient(
@@ -229,10 +233,12 @@ def path_coefficient(
 ) -> PathCoefficient:
     """Coefficient of one flip path starting from basis state z."""
     q = path.q
-    if q > plan.Q:
-        raise ValueError(f"path length {q} exceeds plan order Q={plan.Q}")
+    _check_path(h, plan, z, path.indices)
     e_z = diagonal_energy(h, z)
-    states = path_states(h, z, path)
+    states, cur = [], z  # the basis states visited after each flip
+    for i in path.indices:
+        cur ^= h.terms[i][1].x_mask
+        states.append(cur)
     inputs = [0.0] + [diagonal_energy(h, s) - e_z for s in states]
     dd = dd_exp(inputs, plan.delta_t, config)
     dprod = 1.0 + 0.0j
@@ -263,13 +269,13 @@ def apply_diagonal(h: PmrHamiltonian, state: np.ndarray, delta_t: float) -> np.n
 
 
 def _check_budget(
-    h: PmrHamiltonian, plan: SegmentPlan, budget: int, recursion: bool = False
+    h: PmrHamiltonian, plan: SegmentPlan, method: str, budget: int
 ) -> None:
-    """Refuse a segment whose work exceeds ``budget``.  Path enumeration
-    costs M^Q * 2^N; the taylor recursion gathers over M terms for Q levels
-    on |R| <= 2^N states, so it is priced Q * M * 2^N."""
+    """Refuse a segment whose work exceeds ``budget``.  The taylor recursion
+    gathers over M terms for Q levels on |R| <= 2^N states, so it is priced
+    Q * M * 2^N; path enumeration costs M^Q * 2^N."""
     n = h.n_qubits
-    if recursion:
+    if method == "taylor":
         product = plan.Q * h.m << n
         detail, work = f"{plan.Q} * {h.m} * 2^{n}", "recursion work Q * M * 2^N"
     else:
@@ -291,22 +297,8 @@ def _require_finite(out: np.ndarray) -> np.ndarray:
 
 def _batch_dd(seqs: np.ndarray, delta_t: float, config: DdConfig) -> np.ndarray:
     if config.method == "taylor":
-        return dd_exp_taylor_batch(seqs, delta_t, config.series_tol)
+        return dd_exp_taylor_batch(seqs, delta_t)
     return np.array([dd_exp(row, delta_t, config) for row in seqs], dtype=complex)
-
-
-def _neumaier_add(acc: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
-    s = acc + term
-    big = np.abs(s) >= np.abs(term)
-    comp += np.where(big, (acc - s) + term, (term - s) + acc)
-    acc[:] = s
-
-
-def _bincount_complex(idx: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Deterministic scatter-add of complex values into a length-``size`` array."""
-    return np.bincount(idx, weights=values.real, minlength=size) + 1j * np.bincount(
-        idx, weights=values.imag, minlength=size
-    )
 
 
 def _path_levels(
@@ -340,58 +332,51 @@ def _path_levels(
 
 
 def _uod_paths(
-    h: PmrHamiltonian,
-    plan: SegmentPlan,
-    sources: np.ndarray,
-    weights: np.ndarray | None,
-    config: DdConfig,
-    work_budget: int,
-):
-    """Reference route: enumerate every flip path and evaluate its divided
-    difference with the configured method.
+    h: PmrHamiltonian, plan: SegmentPlan, block: np.ndarray, config: DdConfig
+) -> np.ndarray:
+    """Truncated U_od applied to each column of ``block`` (2^N, k) by
+    enumerating every flip path and evaluating its divided difference with
+    the configured method.
 
-    This is the engine behind ``--dd-method naive|pyramid|leibniz``, whose
+    This is the engine of the naive, pyramid and leibniz methods, whose
     divided differences are nonlinear in the path, and the small-N reference
-    that the taylor recursion is checked against.  With ``weights`` (source
-    amplitudes) the result is the output state; with ``weights=None`` it is
-    the dense off-diagonal segment matrix over the given source columns.
-    Paths come from ``_path_levels`` in lexicographic order, and per-level
-    deposits are merged with compensated accumulation, so outputs are
-    reproducible.
+    that the taylor recursion is checked against.  Paths run from every row
+    with a nonzero entry; only the nonzero entries deposit, into flat index
+    dest * k + column.  Paths come from ``_path_levels`` in lexicographic
+    order, and per-level deposits are merged with compensated accumulation,
+    so outputs are reproducible.
     """
-    _check_budget(h, plan, work_budget)
-    dim = 1 << h.n_qubits
-    n_src = len(sources)
-    matrix_mode = weights is None
-    size = dim * dim if matrix_mode else dim
-    acc = np.zeros(size, dtype=complex)
-    comp = np.zeros(size, dtype=complex)
-    if matrix_mode:
-        acc[sources * dim + sources] = 1.0  # empty path
-    else:
-        acc[sources] = weights  # empty path
-    if plan.Q == 0 or h.m == 0 or n_src == 0:
-        return acc.reshape((dim, dim)) if matrix_mode else acc
+    dim, k = block.shape
+    rows, cols = np.nonzero(block)
+    sources, entry = np.unique(rows, return_inverse=True)
+    weights = block[rows, cols]
+    acc = np.zeros(dim * k, dtype=complex)
+    comp = np.zeros(dim * k, dtype=complex)
+    acc[rows * k + cols] = weights  # the empty path
+    if plan.Q == 0 or h.m == 0 or len(sources) == 0:
+        return acc.reshape(dim, k)
 
+    n_ent = len(entry)
     paths = _path_levels(h, plan, sources, config, [range(h.m)] * plan.Q)
     for _, keep, dest, coeff in paths:
         if len(keep) == 0:
             break
-        coeff_flat, dest_flat = coeff.ravel(), dest.ravel()
-        level = np.zeros(size, dtype=complex)
-        for lo in range(0, coeff.size, _EVAL_CHUNK_ROWS):
-            hi = min(lo + _EVAL_CHUNK_ROWS, coeff.size)
-            col_pos = np.arange(lo, hi) % n_src
-            if matrix_mode:
-                flat_idx = dest_flat[lo:hi] * dim + sources[col_pos]
-                level += _bincount_complex(flat_idx, coeff_flat[lo:hi], size)
-            else:
-                level += _bincount_complex(
-                    dest_flat[lo:hi], coeff_flat[lo:hi] * weights[col_pos], size
-                )
-        _neumaier_add(acc, comp, level)
-    out = acc + comp
-    return out.reshape((dim, dim)) if matrix_mode else out
+        level = np.zeros(dim * k, dtype=complex)
+        # deposits [lo, hi) in (path, entry) order, cut from whole rows r0..r1
+        for lo in range(0, len(keep) * n_ent, _EVAL_CHUNK_ROWS):
+            hi = min(lo + _EVAL_CHUNK_ROWS, len(keep) * n_ent)
+            r0, r1 = lo // n_ent, -(-hi // n_ent)
+            cut = slice(lo - r0 * n_ent, hi - r0 * n_ent)
+            idx = (dest[r0:r1, entry] * k + cols).ravel()[cut]
+            vals = coeff[r0:r1, entry].ravel()[cut] * np.tile(weights, r1 - r0)[cut]
+            level += np.bincount(idx, vals.real, dim * k) + 1j * np.bincount(
+                idx, vals.imag, dim * k
+            )
+        total = acc + level  # acc += level, Neumaier-compensated
+        big = np.abs(total) >= np.abs(level)
+        comp += np.where(big, (acc - total) + level, (level - total) + acc)
+        acc = total
+    return (acc + comp).reshape(dim, k)
 
 
 class _Recursion:
@@ -406,12 +391,7 @@ class _Recursion:
     """
 
     def __init__(
-        self,
-        h: PmrHamiltonian,
-        plan: SegmentPlan,
-        support: np.ndarray,
-        flips: int,
-        tol: float,
+        self, h: PmrHamiltonian, plan: SegmentPlan, support: np.ndarray, flips: int
     ):
         dim = 1 << h.n_qubits
         states = np.arange(dim)
@@ -444,7 +424,7 @@ class _Recursion:
         self.energies = energies
         dt = plan.delta_t
         amp = abs(dt) * (hi - lo) / 2
-        n_max = series_order(amp, tol) if amp > 0.0 else 0
+        n_max = series_order(amp, SERIES_TOL) if amp > 0.0 else 0
         self.pref = np.empty((plan.Q + 1, n_max + 1), dtype=complex)
         for q in range(plan.Q + 1):
             self.pref[q, 0] = exp_prefactor(q, dt)
@@ -486,13 +466,27 @@ def _apply_recursion(
 ) -> np.ndarray:
     """Truncated U_od applied to each column of ``block`` (2^N, k) by the
     basis-state recursion."""
-    rec = _Recursion(h, plan, np.any(block != 0, axis=1), plan.Q, config.series_tol)
+    rec = _Recursion(h, plan, np.any(block != 0, axis=1), plan.Q)
     sub = block[rec.rows]
     out = sub.copy()  # the empty path
     rec.sweep(out, np.exp(1j * plan.delta_t * rec.y) * sub)
     full = np.zeros_like(block)
     full[rec.rows] = out
-    return _require_finite(full)
+    return full
+
+
+def _segment(
+    h: PmrHamiltonian, g: GammaBounds, plan: SegmentPlan, block: np.ndarray,
+    config: DdConfig | None, work_budget: int,
+) -> np.ndarray:
+    """Truncated U_od applied to each column of ``block`` (2^N, k): the taylor
+    recursion for the taylor method, path enumeration for the others."""
+    if len(g.gamma) != h.m:
+        raise ValueError(f"got {len(g.gamma)} bounds for M={h.m} terms")
+    cfg = config or DdConfig()
+    _check_budget(h, plan, cfg.method, work_budget)
+    engine = _apply_recursion if cfg.method == "taylor" else _uod_paths
+    return _require_finite(engine(h, plan, block, cfg))
 
 
 def apply_uod_truncated(
@@ -503,18 +497,12 @@ def apply_uod_truncated(
     config: DdConfig | None = None,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> np.ndarray:
-    """Apply the truncated off-diagonal segment factor to a state vector."""
-    if len(g.gamma) != h.m:
-        raise ValueError(f"got {len(g.gamma)} bounds for M={h.m} terms")
+    """Apply the truncated off-diagonal segment factor to a state vector,
+    a one-column block of ``_segment``."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (1 << h.n_qubits,):
         raise ValueError("state length must be 2^N")
-    cfg = config or DdConfig()
-    if cfg.method == "taylor":
-        _check_budget(h, plan, work_budget, recursion=True)
-        return _apply_recursion(h, plan, state[:, None], cfg)[:, 0]
-    sources = np.flatnonzero(state)
-    return _uod_paths(h, plan, sources, state[sources], cfg, work_budget)
+    return _segment(h, g, plan, state[:, None], config, work_budget)[:, 0]
 
 
 def uod_matrix(
@@ -524,18 +512,12 @@ def uod_matrix(
     config: DdConfig | None = None,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> np.ndarray:
-    """Dense matrix of the truncated off-diagonal segment factor (small N)."""
-    if len(g.gamma) != h.m:
-        raise ValueError(f"got {len(g.gamma)} bounds for M={h.m} terms")
+    """Dense matrix of the truncated off-diagonal segment factor (small N):
+    ``_segment`` applied to the identity block."""
     dim = 1 << h.n_qubits
     if dim * dim > _MATRIX_REUSE_ENTRIES:
         raise ValueError("dense segment matrix limited to small N")
-    cfg = config or DdConfig()
-    if cfg.method == "taylor":
-        _check_budget(h, plan, work_budget, recursion=True)
-        return _apply_recursion(h, plan, np.eye(dim, dtype=complex), cfg)
-    sources = np.arange(dim, dtype=np.int64)
-    return _uod_paths(h, plan, sources, None, cfg, work_budget)
+    return _segment(h, g, plan, np.eye(dim, dtype=complex), config, work_budget)
 
 
 def evolve(
@@ -565,11 +547,11 @@ def evolve(
         return apply_diagonal(h, state, t)
     cfg = config or DdConfig()
     dim = 1 << h.n_qubits
+    if state.shape != (dim,):
+        raise ValueError("state length must be 2^N")
+    _check_budget(h, plan, cfg.method, work_budget)
     if cfg.method == "taylor":
-        if state.shape != (dim,):
-            raise ValueError("state length must be 2^N")
-        _check_budget(h, plan, work_budget, recursion=True)
-        rec = _Recursion(h, plan, state != 0, plan.r * plan.Q, cfg.series_tol)
+        rec = _Recursion(h, plan, state != 0, plan.r * plan.Q)
         phases = np.exp(-1j * plan.delta_t * rec.energies)[:, None]
         shift = np.exp(-1j * plan.delta_t * rec.c)
         sub = state[rec.rows][:, None]
@@ -581,9 +563,7 @@ def evolve(
         state[rec.rows] = sub[:, 0]
         return _require_finite(state)
     if plan.r > 1 and dim * dim <= _MATRIX_REUSE_ENTRIES:
-        mat = _uod_paths(
-            h, plan, np.arange(dim, dtype=np.int64), None, cfg, work_budget
-        )
+        mat = uod_matrix(h, g, plan, cfg, work_budget)
         phases = np.exp(-1j * plan.delta_t * h.diagonal_values())
         for _ in range(plan.r):
             state = mat @ (phases * state)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from pmrsim import PauliString, dd_exp_taylor, pauli_to_pmr
+from pmrsim import PauliString, PmrHamiltonian, dd_exp_taylor, pauli_to_pmr
 
 I2 = np.eye(2, dtype=complex)
 PAULI_MATS = {
@@ -88,3 +88,36 @@ def random_pmr_hamiltonian(rng, n=4, m_terms=4, n_diag=3, coupling=1.0):
 def random_state(rng, n_qubits):
     psi = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     return psi / np.linalg.norm(psi)
+
+
+def trotter_first_order(
+    h: PmrHamiltonian, state: np.ndarray, t: float, steps: int
+) -> np.ndarray:
+    """Non-core first-order splitting comparator (test utility only).
+
+    Alternates e^{-i dt D0} with e^{-i dt D_i P_i} per term, the latter via
+    the dense two-state rotation each flip mask induces.  O(t^2/steps)
+    accurate; used only as a baseline in tests, never by the algorithm.
+    """
+    state = np.asarray(state, dtype=complex).copy()
+    dim = 1 << h.n_qubits
+    dt = t / steps
+    phases = np.exp(-1j * dt * h.d0.values().real)
+    z = np.arange(dim)
+    for _ in range(steps):
+        state = phases * state
+        for d, p in h.terms:
+            vals = d.values()
+            flipped = z ^ p.x_mask
+            # e^{-i dt D P} acts on each pair (u, l = u^mask) as the 2x2
+            # Hermitian block [[0, d(u)], [conj d(u), 0]]
+            upper = z[z < flipped]
+            lower = upper ^ p.x_mask
+            m01 = vals[upper]
+            mag = np.abs(m01)
+            cos = np.cos(dt * mag)
+            sinc = np.where(mag > 0, np.sin(dt * mag) / np.where(mag > 0, mag, 1.0), dt)
+            s_u, s_l = state[upper].copy(), state[lower].copy()
+            state[upper] = cos * s_u - 1j * sinc * m01 * s_l
+            state[lower] = cos * s_l - 1j * sinc * np.conj(m01) * s_u
+    return state

@@ -280,7 +280,7 @@ class TestOracleUtilities:
     def test_trotter_comparator_first_order(self):
         # non-core baseline: halving the step size halves the error
         from conftest import random_pmr_hamiltonian, random_state
-        from pmrsim.oracle import trotter_first_order
+        from conftest import trotter_first_order
 
         rng = np.random.default_rng(9)
         h = random_pmr_hamiltonian(rng, n=3, m_terms=3)

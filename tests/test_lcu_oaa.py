@@ -189,7 +189,7 @@ class TestComputePhaseAngles:
                     fn(h, g, plan, z, Path((0,)))
         for i in (-1, h.m):
             for fn in (compute_phase_angles, path_coefficient):
-                with pytest.raises(IndexError):
+                with pytest.raises(IndexError, match="term index"):
                     fn(h, g, plan, 0, Path((0, i)))
 
     def test_round_trip_exact_and_quantized(self):

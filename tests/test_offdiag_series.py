@@ -29,7 +29,8 @@ from pmrsim import (
     series_tail,
     uod_matrix,
 )
-from pmrsim.series import DEFAULT_WORK_BUDGET, LN2, _uod_paths
+from pmrsim import series
+from pmrsim.series import DEFAULT_WORK_BUDGET, LN2, _apply_recursion, _uod_paths
 
 LADDER = pauli_to_pmr(parse_hamiltonian("1.0 Z\n1.0 X\n"))
 LADDER_G = gamma_bounds(LADDER)
@@ -372,8 +373,7 @@ def number_conserving_hamiltonian(rng, n):
 
 def reference_segment(h, plan, psi):
     """The truncated U_od by explicit path enumeration (taylor evaluator)."""
-    sources = np.flatnonzero(psi)
-    return _uod_paths(h, plan, sources, psi[sources], DdConfig(), 1 << 40)
+    return _uod_paths(h, plan, psi[:, None], DdConfig())[:, 0]
 
 
 def source_states(rng, n):
@@ -432,20 +432,42 @@ class TestRecursionVsReference:
                 assert np.array_equal(out, psi)
                 assert np.array_equal(out, reference_segment(hh, plan, psi))
 
-    def test_matrix_columns_are_basis_images(self):
+    @pytest.mark.parametrize(
+        "method, sizes, q",
+        [("taylor", (3, 4), None), ("leibniz", (2,), 3)],
+        ids=["taylor", "leibniz"],
+    )
+    def test_matrix_columns_are_basis_images(self, method, sizes, q, monkeypatch):
         rng = np.random.default_rng(400)
-        for h in (random_pmr_hamiltonian(rng, n=3), number_conserving_hamiltonian(rng, 4)):
+        cfg = DdConfig(method=method)
+        hams = [random_pmr_hamiltonian(rng, n=sizes[0])]
+        hams += [number_conserving_hamiltonian(rng, n) for n in sizes[1:]]
+        for h in hams:
             g = gamma_bounds(h)
-            plan = plan_segments(h, g, -0.8, 1e-6)
-            mat = uod_matrix(h, g, plan)
+            plan = plan_segments(h, g, -0.8, 1e-6, q_override=q)
+            mat = uod_matrix(h, g, plan, cfg)
             dim = 1 << h.n_qubits
             for z in range(dim):
                 e_z = np.zeros(dim, dtype=complex)
                 e_z[z] = 1.0
-                col = apply_uod_truncated(h, g, plan, e_z)
+                col = apply_uod_truncated(h, g, plan, e_z, cfg)
                 assert np.max(np.abs(mat[:, z] - col)) <= 1e-12
-            ref = _uod_paths(h, plan, np.arange(dim), None, DdConfig(), 1 << 40)
+            ref = _uod_paths(h, plan, np.eye(dim, dtype=complex), DdConfig())
             assert np.max(np.abs(mat - ref)) <= 1e-12
+            # a block with zero rows and zero entries: each column on its own
+            block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+            block[rng.random((dim, 3)) < 0.3] = 0.0
+            block[[0, dim - 1]] = 0.0
+            out = _uod_paths(h, plan, block, cfg)
+            for c in range(3):
+                col = _uod_paths(h, plan, block[:, c:c + 1], cfg)[:, 0]
+                assert np.max(np.abs(out[:, c] - col)) <= 1e-12
+            rec = _apply_recursion(h, plan, block, cfg)
+            assert np.max(np.abs(out - rec)) <= 1e-12
+            # deposit chunks that end inside a path's row of entries
+            with monkeypatch.context() as m:
+                m.setattr(series, "_EVAL_CHUNK_ROWS", 97)
+                assert np.max(np.abs(_uod_paths(h, plan, block, cfg) - out)) <= 1e-12
 
     def test_evolve_equals_repeated_segments(self):
         # a hopping chain spreads a basis state one site per flip, so the
