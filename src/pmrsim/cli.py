@@ -36,6 +36,7 @@ from .lcu import CompositeBudgetError, LcuConfig, evolve_lcu
 from .models import MODEL_NAMES, build_named_model
 from .oracle import DenseOracle
 from .pmr import (
+    DENSE_THRESHOLD,
     HamiltonianParseError,
     format_hamiltonian,
     gamma_bounds,
@@ -47,9 +48,6 @@ from .resources import comparison_csv, comparison_row, resource_table
 from .series import WorkBudgetExceededError, evolve, plan_segments
 
 __all__ = ["main", "build_parser"]
-
-DENSE_ORACLE_LIMIT = 12
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -120,7 +118,7 @@ def cmd_evolve(args) -> int:
         out = evolve(h, g, psi, args.t, args.epsilon, config=config)
     elapsed = time.perf_counter() - start
     error = None
-    if h.n_qubits <= DENSE_ORACLE_LIMIT:
+    if h.n_qubits <= DENSE_THRESHOLD:
         error = float(np.linalg.norm(out - DenseOracle(h).evolve(psi, args.t)))
     header = [
         "hamiltonian", "N", "M", "t", "epsilon", "T", "r", "Q", "delta_t",
@@ -150,7 +148,7 @@ def cmd_lcu(args) -> int:
         out, diags = evolve_lcu(h, g, psi, args.t, args.epsilon, config)
     elapsed = time.perf_counter() - start
     error = None
-    if h.n_qubits <= DENSE_ORACLE_LIMIT:
+    if h.n_qubits <= DENSE_THRESHOLD:
         error = float(np.linalg.norm(out - DenseOracle(h).evolve(psi, args.t)))
     quant_error = None
     if args.phase_bits is not None:

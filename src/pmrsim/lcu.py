@@ -1,8 +1,10 @@
 """Ancilla-level emulation of the LCU + oblivious-amplitude-amplification circuit.
 
-The composite space is (Q path registers of dimension M+1) x (one qubit
-selecting the phase pair) x (the 2^N system).  Register digit 0 marks "no
-operator"; valid ancilla patterns have all zeros trailing.  The circuit per
+The circuit's ancilla is Q path registers of dimension M+1, holding a flip
+path as its term digits followed by empty registers, plus one qubit k
+selecting the phase pair.  No other register pattern ever carries
+amplitude, so the composite stores the 2^N system once per (path, k):
+2 * sum_{q<=Q} M^q blocks, not (M+1)^Q * 2.  The circuit per
 segment is the diagonal phase on the system followed by A = -W R W' R W
 with W = B' U_C B, where B prepares the LCU weight state and U_C applies,
 conditioned on the ancilla, a diagonal phase pair and the path's bit flips.
@@ -26,7 +28,7 @@ import numpy as np
 from .divdiff import DdConfig
 from .oracle import DenseOracle
 from .pmr import GammaBounds, PmrHamiltonian
-from .series import (LN2, SegmentPlan, _check_path, _path_levels, _require_finite,
+from .series import (LN2, Path, SegmentPlan, _check_path, _path_levels, _require_finite,
                      apply_diagonal, partial_exp_sum, plan_segments)
 
 __all__ = [
@@ -56,10 +58,11 @@ class CompositeBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class AncillaLayout:
-    """Index bookkeeping for Q registers of dimension M+1 plus the k qubit.
+    """Index bookkeeping for the populated ancilla patterns plus the k qubit.
 
-    The flat ancilla index is big-endian in the path registers with the k
-    qubit least significant: a = (sum_j digit_j (M+1)^(Q-1-j)) * 2 + k.
+    Only paths of length q <= Q are stored, in ``paths()`` order (by length,
+    then lexicographic), with the k qubit least significant: the flat
+    ancilla index is a = 2 * rank + k.
     """
 
     Q: int
@@ -67,64 +70,23 @@ class AncillaLayout:
 
     @property
     def anc_dim(self) -> int:
-        return (self.M + 1) ** self.Q * 2
+        return 2 * sum(self.M ** q for q in range(self.Q + 1))
 
     def index(self, path: tuple[int, ...], k: int) -> int:
         if len(path) > self.Q:
             raise ValueError("path longer than Q registers")
-        value = 0
-        for j in range(self.Q):
-            digit = path[j] + 1 if j < len(path) else 0
-            if not 0 <= digit <= self.M:
+        offset = sum(self.M ** q for q in range(len(path)))  # shorter paths first
+        local = 0
+        for i in path:
+            if not 0 <= i < self.M:
                 raise ValueError("term index out of range")
-            value = value * (self.M + 1) + digit
-        return value * 2 + k
-
-    def digits(self, a: int) -> tuple[tuple[int, ...], int]:
-        value, digits = a >> 1, []
-        for _ in range(self.Q):
-            value, digit = divmod(value, self.M + 1)
-            digits.append(digit)
-        return tuple(reversed(digits)), a & 1
-
-    def path_of(self, a: int) -> tuple[tuple[int, ...], int]:
-        """Effective 0-based path (zeros dropped) and k for an ancilla index."""
-        digits, k = self.digits(a)
-        return tuple(d - 1 for d in digits if d > 0), k
-
-    def is_valid(self, a: int) -> bool:
-        """Valid patterns have no occupied register after an empty one."""
-        return self.index(*self.path_of(a)) == a
+            local = local * self.M + i
+        return (offset + local) * 2 + k
 
     def paths(self):
-        """All valid paths in deterministic (length, lexicographic) order."""
+        """All stored paths in deterministic (length, lexicographic) order."""
         for q in range(self.Q + 1):
             yield from product(range(self.M), repeat=q)
-
-
-def _ancilla_paths(layout: AncillaLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Path rank, in ``paths()`` order, and validity of every register value.
-
-    Register value a >> 1 maps to the path of its nonzero digits, as
-    ``path_of`` does, so invalid patterns get that path's rank too.  A value
-    is valid when packing its nonzero digits to the front leaves it as is.
-    """
-    m, depth = layout.M, layout.Q
-    value = np.arange((m + 1) ** depth)
-    length, local, packed = (np.zeros_like(value) for _ in range(3))
-    for j in range(depth):
-        digit = value // (m + 1) ** (depth - 1 - j) % (m + 1)
-        occupied = digit > 0
-        local = np.where(occupied, local * m + digit - 1, local)
-        packed += np.where(occupied, digit * (m + 1) ** (depth - 1 - length), 0)
-        length += occupied
-    offsets = np.concatenate(([0], np.cumsum(m ** np.arange(depth))))
-    return offsets[length] + local, packed == value
-
-
-def _unary_indices(m: int, depth: int) -> np.ndarray:
-    """Register values of the unary patterns 1^q 0^(depth-q), q = 0..depth."""
-    return np.cumsum([0] + [(m + 1) ** (depth - q) for q in range(1, depth + 1)])
 
 
 @dataclass(frozen=True)
@@ -216,16 +178,17 @@ def lcu_weights(
 def psi0_unary_cascade(
     g: GammaBounds, plan: SegmentPlan, config: LcuConfig | None = None
 ) -> np.ndarray:
-    """First preparation step: the normalized unary-occupation ladder
-    sum_q sqrt((Gamma dt)^q / q!) |1^q 0^(Q-q)> over the path registers."""
+    """First preparation step: the Q+1 amplitudes of the normalized
+    unary-occupation ladder sum_q sqrt((Gamma dt)^q / q!) |1^q 0^(Q-q)>,
+    indexed by q."""
     gam, _ = lcu_weights(g, plan, config)
-    vec = np.zeros((len(g.gamma) + 1) ** plan.Q)
+    vec = np.empty(plan.Q + 1)
     rate = float(np.sum(gam)) * abs(plan.delta_t)
     amp = 1.0
-    for q, idx in enumerate(_unary_indices(len(g.gamma), plan.Q)):
+    for q in range(plan.Q + 1):
         if q > 0:
             amp *= rate / q  # (Gamma dt)^q / q!
-        vec[idx] = math.sqrt(amp)
+        vec[q] = math.sqrt(amp)
     return vec / np.linalg.norm(vec)
 
 
@@ -238,20 +201,19 @@ def prepare_psi0(
     sector masses (Gamma dt)^q / q!, each occupied register then fans out
     to sqrt(gamma_i / Gamma), and the k qubit gets a Hadamard.  The result
     carries amplitude sqrt(gamma_path |dt|^q / q!) / sqrt(2 s) on every
-    valid pattern.  The fan-out of all paths of length q is one outer
-    product per level.
+    path.  The fan-out of all paths of length q is one outer product per
+    level, and the levels concatenate in ``AncillaLayout.paths()`` order.
     """
     gam, _ = lcu_weights(g, plan, config)
     m = len(g.gamma)
-    ladder = psi0_unary_cascade(g, plan, config)[_unary_indices(m, plan.Q)]
+    ladder = psi0_unary_cascade(g, plan, config)
     total = float(np.sum(gam))
     frac = np.sqrt(gam / total) if total > 0 else np.zeros(m)
     amps, fan = [ladder[:1]], np.ones(1)
     for q in range(1, plan.Q + 1):
         fan = np.outer(fan, frac).reshape(-1)
         amps.append(ladder[q] * fan)
-    rank, valid = _ancilla_paths(AncillaLayout(plan.Q, m))
-    vec = np.repeat(np.where(valid, np.concatenate(amps)[rank], 0.0), 2) / math.sqrt(2.0)
+    vec = np.repeat(np.concatenate(amps), 2) / math.sqrt(2.0)
     norm = np.linalg.norm(vec)
     if norm == 0.0:
         raise ValueError("degenerate weight state (all bounds zero)")
@@ -275,9 +237,7 @@ def apply_B(
     vnorm2 = float(np.real(np.vdot(v, v)))
     if vnorm2 > 0.0:
         coef = (2.0 / vnorm2) * (v.conj() @ mat)
-        rows = np.flatnonzero(v)  # row 0 and the valid patterns
-        mat = mat.copy()
-        mat[rows] -= np.outer(v[rows], coef)
+        mat = mat - np.outer(v, coef)
     return CompositeState(mat.reshape(-1), state.layout, state.n_qubits)
 
 
@@ -326,7 +286,7 @@ def compute_phase_angles(
     g: GammaBounds,
     plan: SegmentPlan,
     z: int,
-    path,
+    path: Path,
     config: LcuConfig | None = None,
 ) -> tuple[float, float]:
     """(chi, phi) with beta = cos(phi) e^{i chi} for one path and source.
@@ -335,7 +295,7 @@ def compute_phase_angles(
     grid; the returned pair reconstructs the quantized beta.
     """
     config = config or LcuConfig()
-    indices = tuple(path.indices) if hasattr(path, "indices") else tuple(path)
+    indices = tuple(path.indices)
     _check_path(h, plan, z, indices)
     gam, _ = lcu_weights(g, plan, config)
     _, ph0, ph1 = _path_tables(h, gam, plan, config, [[i] for i in indices])[-1]
@@ -346,6 +306,8 @@ def compute_phase_angles(
 class SegmentOperators:
     """Per-plan tables: the weight state and, per ancilla index a, the path's
     flip mask, phase row e^{i theta_k(z)} and gather index a * 2^N + (z ^ mask).
+    The levels of ``_path_tables`` concatenate in ``AncillaLayout.paths()``
+    order, so row a is the path of rank a >> 1 with k = a & 1.
     """
 
     def __init__(
@@ -364,10 +326,9 @@ class SegmentOperators:
         self._energies = h.diagonal_values()
         levels = _path_tables(h, self.gam, plan, self.config, [range(h.m)] * plan.Q)
         cum, ph0, ph1 = (np.concatenate(parts) for parts in zip(*levels))
-        rank, _ = _ancilla_paths(self.layout)
         dim = 1 << h.n_qubits
-        self.phases = np.stack((ph0[rank], ph1[rank]), axis=1).reshape(-1, dim)
-        self.flips = np.repeat(cum[rank], 2)
+        self.phases = np.stack((ph0, ph1), axis=1).reshape(-1, dim)
+        self.flips = np.repeat(cum, 2)
         flat = np.arange(self.phases.size, dtype=np.min_scalar_type(self.phases.size))
         self.gather = (flat.reshape(-1, dim) ^ self.flips[:, None].astype(flat.dtype)).ravel()
 
@@ -512,11 +473,11 @@ def evolve_lcu(
     plan = plan_segments(h, g, t, epsilon)
     if plan.diagonal_only:
         return apply_diagonal(h, state, t), []
-    composite_dim = (h.m + 1) ** plan.Q * 2 * (1 << h.n_qubits)
+    composite_dim = AncillaLayout(plan.Q, h.m).anc_dim << h.n_qubits
     if composite_dim > composite_budget:
         raise CompositeBudgetError(
-            f"composite dimension (M+1)^Q * 2 * 2^N = "
-            f"({h.m + 1})^{plan.Q} * 2 * 2^{h.n_qubits} = {composite_dim} "
+            f"composite dimension 2 * sum_{{q<=Q}} M^q * 2^N = "
+            f"2 * sum_{{q<={plan.Q}}} {h.m}^q * 2^{h.n_qubits} = {composite_dim} "
             f"exceeds budget {composite_budget}"
         )
     ops = SegmentOperators(h, g, plan, config)

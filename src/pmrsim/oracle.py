@@ -15,25 +15,19 @@ __all__ = ["DenseOracle"]
 
 
 class DenseOracle:
-    """Exact evolution oracle for one Hamiltonian matrix."""
+    """Exact evolution oracle for one Hamiltonian with N <= DENSE_THRESHOLD.
 
-    def __init__(self, h: PmrHamiltonian | np.ndarray, threshold: int = 12):
-        if isinstance(h, PmrHamiltonian):
-            matrix = dense_matrix(h, threshold)
-        else:
-            matrix = np.asarray(h, dtype=complex)
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                raise ValueError("oracle needs a square matrix")
+    Raises ValueError above that size or when the matrix is not Hermitian.
+    """
+
+    def __init__(self, h: PmrHamiltonian):
+        matrix = dense_matrix(h)
         scale = max(float(np.max(np.abs(matrix))), 1.0)
         defect = float(np.max(np.abs(matrix - matrix.conj().T)))
         if defect > 1e-9 * scale:
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3g})")
         self.matrix = 0.5 * (matrix + matrix.conj().T)
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.matrix)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt} applied to a state vector."""

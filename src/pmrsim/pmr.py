@@ -176,8 +176,8 @@ class DiagonalOperator:
     def sum_abs(self) -> float:
         return float(sum(abs(c) for c, _ in self.terms))
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return all(abs(c.imag) <= tol for c, _ in self.terms)
+    def is_real(self) -> bool:
+        return all(c.imag == 0.0 for c, _ in self.terms)
 
     def pruned(self, tol: float) -> "DiagonalOperator":
         """Drop coefficients with magnitude below ``tol``."""
@@ -215,7 +215,7 @@ class PmrHamiltonian:
             raise ValueError("flip masks must be pairwise distinct")
         for _, p in terms:
             _check_mask(p.x_mask, n_qubits, "x_mask")
-        if not d0.is_real(tol=0.0):
+        if not d0.is_real():
             raise ValueError("diagonal part must have real coefficients")
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "terms", terms)
@@ -292,20 +292,20 @@ def pauli_to_pmr(strings: list[PauliString]) -> PmrHamiltonian:
     return PmrHamiltonian(d0, terms, n)
 
 
-def pmr_to_pauli_strings(h: PmrHamiltonian, tol: float = 1e-12) -> list[PauliString]:
+def pmr_to_pauli_strings(h: PmrHamiltonian) -> list[PauliString]:
     """Expand a PMR Hamiltonian back into real-coefficient Pauli strings.
 
     Inverse of :func:`pauli_to_pmr`; requires term-wise Hermiticity so that
-    every expanded coefficient is real.
+    every expanded coefficient is real, to 1e-12 of the largest magnitude.
     """
     strings: list[PauliString] = []
-    scale = max(
+    limit = 1e-12 * max(
         [abs(c) for c, _ in h.d0.terms]
         + [abs(c) for d, _ in h.terms for c, _ in d.terms]
         + [1.0]
     )
     for coeff, mask in h.d0.terms:
-        if abs(coeff.imag) > tol * scale:
+        if abs(coeff.imag) > limit:
             raise ValueError("diagonal part is not Hermitian")
         strings.append(PauliString(coeff.real, mask, 0, 0, h.n_qubits))
     for d, p in h.terms:
@@ -313,7 +313,7 @@ def pmr_to_pauli_strings(h: PmrHamiltonian, tol: float = 1e-12) -> list[PauliStr
             y_mask = mask & p.x_mask
             # c * Z_mask X_flip = c * i^{|overlap|} * (Y on overlap) ...
             full = coeff * (1j) ** bin(y_mask).count("1")
-            if abs(full.imag) > tol * scale:
+            if abs(full.imag) > limit:
                 raise ValueError(f"term with flip 0x{p.x_mask:x} is not Hermitian")
             strings.append(
                 PauliString(
@@ -327,10 +327,7 @@ def diagonal_energy(h: PmrHamiltonian, z: int) -> float:
     """E_z = <z|D0|z>; exactly real since D0 carries real coefficients."""
     if z < 0 or z >> h.n_qubits:
         raise ValueError(f"basis index {z} out of range")
-    total = 0.0
-    for coeff, mask in h.d0.terms:
-        total += coeff.real if bin(z & mask).count("1") % 2 == 0 else -coeff.real
-    return total
+    return h.d0.value(z).real
 
 
 def hopping_strength(h: PmrHamiltonian, i: int, z_after: int) -> complex:
@@ -369,10 +366,10 @@ def gamma_bounds(
     return GammaBounds(gamma)
 
 
-def dense_matrix(h: PmrHamiltonian, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
+def dense_matrix(h: PmrHamiltonian) -> np.ndarray:
     """Dense 2^N x 2^N matrix of H in the computational basis (test oracle)."""
-    if h.n_qubits > threshold:
-        raise ValueError(f"dense matrix limited to N <= {threshold}")
+    if h.n_qubits > DENSE_THRESHOLD:
+        raise ValueError(f"dense matrix limited to N <= {DENSE_THRESHOLD}")
     dim = 1 << h.n_qubits
     mat = np.diag(h.d0.values())
     cols = np.arange(dim)
@@ -405,9 +402,9 @@ class PhasedPermutationHamiltonian:
     terms: tuple[tuple[float, np.ndarray, np.ndarray, int], ...]
     n_qubits: int
 
-    def dense_matrix(self, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
-        if self.n_qubits > threshold:
-            raise ValueError(f"dense matrix limited to N <= {threshold}")
+    def dense_matrix(self) -> np.ndarray:
+        if self.n_qubits > DENSE_THRESHOLD:
+            raise ValueError(f"dense matrix limited to N <= {DENSE_THRESHOLD}")
         dim = 1 << self.n_qubits
         mat = np.diag(self.d0.values())
         cols = np.arange(dim)
@@ -418,7 +415,7 @@ class PhasedPermutationHamiltonian:
 
 
 def alternative_representation(
-    h: PmrHamiltonian, g: GammaBounds, tol: float = 1e-12
+    h: PmrHamiltonian, g: GammaBounds
 ) -> PhasedPermutationHamiltonian:
     """Rewrite each D_i as gamma_i/2 times a pair of pure-phase diagonals.
 
@@ -432,7 +429,7 @@ def alternative_representation(
             raise ValueError(f"term {i}: bound must be positive")
         w = d.values() / gi
         mags = np.abs(w)
-        if np.any(mags > 1 + tol):
+        if np.any(mags > 1 + 1e-12):
             raise ValueError(
                 f"term {i}: |d_i(z)|/gamma_i = {mags.max():.6g} exceeds 1; invalid bound"
             )

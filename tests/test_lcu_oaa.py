@@ -61,21 +61,20 @@ def small_setup(seed=3, n=2, m=2, t=0.8, eps=1e-2, **cfg):
 
 
 class TestAncillaLayout:
-    def test_index_digits_round_trip(self):
-        layout = AncillaLayout(Q=3, M=2)
-        for a in range(layout.anc_dim):
-            digits, k = layout.digits(a)
-            path_full = tuple(d - 1 for d in digits if d > 0)
-            if layout.is_valid(a):
-                assert layout.index(path_full, k) == a
-
-    def test_padding_validity(self):
-        layout = AncillaLayout(Q=2, M=2)
-        assert layout.is_valid(layout.index((), 0))
-        assert layout.is_valid(layout.index((1,), 1))
-        # digit pattern (0, 2): occupied register after an empty one
-        bad = (0 * 3 + 2) * 2
-        assert not layout.is_valid(bad)
+    def test_index_is_path_rank(self):
+        for Q, M in ((3, 2), (2, 3), (4, 1), (0, 3)):
+            layout = AncillaLayout(Q=Q, M=M)
+            assert layout.anc_dim == 2 * sum(M ** q for q in range(Q + 1))
+            paths = list(layout.paths())
+            assert 2 * len(paths) == layout.anc_dim
+            for rank, path in enumerate(paths):
+                for k in (0, 1):
+                    assert layout.index(path, k) == 2 * rank + k
+            with pytest.raises(ValueError, match="longer than Q"):
+                layout.index((0,) * (Q + 1), 0)
+            for bad in (M, -1) if Q > 0 else ():
+                with pytest.raises(ValueError, match="term index"):
+                    layout.index((0,) * (Q - 1) + (bad,), 0)
 
     def test_path_enumeration_order(self):
         layout = AncillaLayout(Q=2, M=2)
@@ -93,13 +92,6 @@ class TestPreparePsi0:
         expected /= math.sqrt(2.0 * (1.0 + LN2))
         assert np.allclose(psi0, expected, atol=1e-15)
         assert lcu_weights(LADDER_G, plan)[1] == pytest.approx(1.0 + LN2)
-
-    def test_invalid_patterns_carry_no_amplitude(self):
-        _, h, g, plan, ops = small_setup()
-        psi0 = ops.psi0
-        for a in range(ops.layout.anc_dim):
-            if not ops.layout.is_valid(a):
-                assert psi0[a] == 0.0
 
     def test_sector_masses(self):
         _, h, g, plan, ops = small_setup()
@@ -120,8 +112,8 @@ class TestPreparePsi0:
         unary = psi0_unary_cascade(g, plan)
         weights = [LN2 ** q / math.factorial(q) for q in range(plan.Q + 1)]
         expected = np.sqrt(np.array(weights) / sum(weights))
-        nonzero = unary[unary != 0]
-        assert np.allclose(np.sort(nonzero), np.sort(expected))
+        assert unary.shape == (plan.Q + 1,)
+        assert np.allclose(unary, expected)
         assert np.linalg.norm(unary) == pytest.approx(1.0)
 
 
@@ -328,17 +320,17 @@ class TestVectorizedTables:
         for h, g, plan in small_cases():
             ops = SegmentOperators(h, g, plan, LcuConfig(phase_bits=8))
             layout, dim = ops.layout, 1 << h.n_qubits
-            assert not all(layout.is_valid(a) for a in range(layout.anc_dim))
             z = np.arange(dim)
             comp = random_composite(rng, layout, h.n_qubits)
             fwd = apply_U_C(comp, ops)
             inv = apply_U_C(comp, ops, direction="inverse")
-            for a in range(layout.anc_dim):
-                path, k = layout.path_of(a)
+            for path in layout.paths():
                 cum, ph0, ph1 = ops.tables(path)
-                phases, block = (ph0, ph1)[k], comp.block(a)
-                assert np.array_equal(fwd.block(a), (phases * block)[z ^ cum])
-                assert np.array_equal(inv.block(a), phases.conj() * block[z ^ cum])
+                for k, phases in enumerate((ph0, ph1)):
+                    a = layout.index(path, k)
+                    block = comp.block(a)
+                    assert np.array_equal(fwd.block(a), (phases * block)[z ^ cum])
+                    assert np.array_equal(inv.block(a), phases.conj() * block[z ^ cum])
 
     def test_prepare_psi0_per_path_formula(self):
         for h, g, plan in small_cases():
@@ -550,6 +542,15 @@ class TestEvolveLcu:
         psi = random_state(rng, 3)
         with pytest.raises(CompositeBudgetError):
             evolve_lcu(h, g, psi, 1.0, 1e-6, composite_budget=100)
+        # the budget counts stored amplitudes: anc_dim blocks of 2^N
+        h = random_pmr_hamiltonian(rng, n=2, m_terms=2)
+        g = gamma_bounds(h)
+        psi = random_state(rng, 2)
+        plan = plan_segments(h, g, 0.9, 1e-5)
+        exact = AncillaLayout(plan.Q, h.m).anc_dim << h.n_qubits
+        evolve_lcu(h, g, psi, 0.9, 1e-5, composite_budget=exact)
+        with pytest.raises(CompositeBudgetError, match=r"2 \* sum_\{q<=Q\} M\^q \* 2\^N"):
+            evolve_lcu(h, g, psi, 0.9, 1e-5, composite_budget=exact - 1)
 
     def test_deterministic(self):
         rng = np.random.default_rng(89)
