@@ -61,15 +61,29 @@ def small_setup(seed=3, n=2, m=2, t=0.8, eps=1e-2, **cfg):
 
 
 class TestAncillaLayout:
-    def test_index_is_path_rank(self):
+    def test_index_digits_round_trip(self):
+        # a path's term-index digits map to a = 2 * rank + k and back
         for Q, M in ((3, 2), (2, 3), (4, 1), (0, 3)):
             layout = AncillaLayout(Q=Q, M=M)
             assert layout.anc_dim == 2 * sum(M ** q for q in range(Q + 1))
             paths = list(layout.paths())
             assert 2 * len(paths) == layout.anc_dim
+            decode = {}
             for rank, path in enumerate(paths):
                 for k in (0, 1):
-                    assert layout.index(path, k) == 2 * rank + k
+                    a = layout.index(path, k)
+                    assert a == 2 * rank + k
+                    decode[a] = (path, k)
+            assert sorted(decode) == list(range(layout.anc_dim))
+            for a, (path, k) in decode.items():
+                assert layout.index(path, k) == a
+
+    def test_padding_validity(self):
+        # every stored pattern is a valid path; anything else is rejected
+        for Q, M in ((3, 2), (2, 3), (4, 1), (0, 3)):
+            layout = AncillaLayout(Q=Q, M=M)
+            assert layout.index((), 0) == 0
+            assert layout.index((), 1) == 1
             with pytest.raises(ValueError, match="longer than Q"):
                 layout.index((0,) * (Q + 1), 0)
             for bad in (M, -1) if Q > 0 else ():
