@@ -11,9 +11,12 @@ Four evaluation routes are provided:
 * ``leibniz`` -- triangular product table doubled from a small seed time
                  step via the divided-difference Leibniz rule.
 
-All routes agree to high relative accuracy for moderate q and |t| * spread.
-The scaled quantity e0q = q!/(-it)^q * e^{-it[x]} lies in the closed unit
-disc, which several tests rely on.
+Each method evaluates one row or a batch of rows: a 1-d ``values`` gives a
+complex, a (rows, q+1) array one value per row.  The scalar ``dd_exp_taylor``
+is the reference the others are tested against.  All routes agree to high
+relative accuracy for moderate q and |t| * spread.  The scaled quantity
+e0q = q!/(-it)^q * e^{-it[x]} lies in the closed unit disc, which several
+tests rely on.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ __all__ = [
 
 MAX_LEIBNIZ_ORDER = 64
 SERIES_TOL = 1e-13
+# dd_exp evaluates naive, pyramid and leibniz rows in chunks whose
+# (q+1) x (q+1) tables hold at most this many entries
+_CHUNK_ENTRIES = 1 << 14
 
 
 class RepeatedInputsError(ValueError):
@@ -66,10 +72,22 @@ class DdConfig:
     method: str = "taylor"
 
 
-def _tie_tol(values: np.ndarray) -> float:
-    """Inputs closer than 1e-9 * max(1, max |x|) count as repeated."""
-    scale = float(np.max(np.abs(values))) if len(values) else 0.0
-    return 1e-9 * max(1.0, scale)
+def _as_rows(values) -> tuple[np.ndarray, bool]:
+    """``values`` as a float (rows, q+1) array, and whether it was one 1-d row."""
+    x = np.asarray(values, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] == 0:
+        raise ValueError("values must be a nonempty 1-d sequence or (rows, q+1) array")
+    return np.atleast_2d(x), x.ndim == 1
+
+
+def _shaped(out: np.ndarray, one: bool):
+    """A complex for a one-row call, else the per-row array."""
+    return complex(out[0]) if one else out
+
+
+def _tie_tol(x: np.ndarray) -> np.ndarray:
+    """Per row: inputs closer than 1e-9 * max(1, max |x|) count as repeated."""
+    return 1e-9 * np.maximum(1.0, np.max(np.abs(x), axis=1))
 
 
 def exp_prefactor(q: int, t: float) -> complex:
@@ -86,24 +104,22 @@ def dd_exp_naive(values, t: float) -> complex:
     The sum cancels down to t^q/q! from much larger terms, so it runs in
     extended precision where the platform provides it.
     """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or len(x) == 0:
-        raise ValueError("values must be a nonempty 1-d sequence")
-    if len(x) == 1:
-        return complex(np.exp(-1j * t * x[0]))
-    diff = x[:, None] - x[None, :]
-    off = ~np.eye(len(x), dtype=bool)
-    if np.min(np.abs(diff[off])) <= _tie_tol(x):
+    x, one = _as_rows(values)
+    if x.shape[1] == 1:
+        return _shaped(np.exp(-1j * t * x[:, 0]), one)
+    off = ~np.eye(x.shape[1], dtype=bool)
+    gaps = np.abs(x[:, :, None] - x[:, None, :])[:, off]
+    if np.any(np.min(gaps, axis=1) <= _tie_tol(x)):
         raise RepeatedInputsError(
             "inputs repeat (or nearly repeat); the defining sum is ill-conditioned"
         )
     xl = x.astype(np.longdouble)
-    diff = xl[:, None] - xl[None, :]
-    np.fill_diagonal(diff, 1.0)
-    denom = np.prod(diff, axis=1)
+    diff = xl[:, :, None] - xl[:, None, :]
+    diff[:, ~off] = 1.0
+    denom = np.prod(diff, axis=2)
     phase = np.longdouble(t) * xl
     terms = (np.cos(phase) - 1j * np.sin(phase)) / denom
-    return complex(np.sum(terms))
+    return _shaped(np.sum(terms, axis=1).astype(complex), one)
 
 
 def series_order(amp: float, tol: float) -> int:
@@ -215,7 +231,7 @@ def dd_exp_taylor_batch(seqs: np.ndarray, t: float, tol: float = SERIES_TOL) -> 
     return out
 
 
-def effective_energy_pyramid(values, t: float) -> complex:
+def effective_energy_pyramid(values, t: float):
     """Apex of the effective-energy recursion over sorted inputs.
 
     The returned complex energy E satisfies
@@ -223,86 +239,72 @@ def effective_energy_pyramid(values, t: float) -> complex:
     ascending so repeated values sit in contiguous blocks, whose parents are
     fixed by the equal-input rule instead of the log/sin formula.
     """
+    x, one = _as_rows(values)
     if t == 0.0:
         raise ValueError("pyramid recursion requires t != 0")
-    x = np.sort(np.asarray(values, dtype=float))
-    if x.ndim != 1 or len(x) == 0:
-        raise ValueError("values must be a nonempty 1-d sequence")
-    tie = _tie_tol(x)
+    x = np.sort(x, axis=1)
+    tie = _tie_tol(x)[:, None]
     # each level divides by a difference of nearly equal children, so the
     # recursion runs in extended precision where the platform provides it
     xl = x.astype(np.longdouble)
     tl = np.longdouble(t)
     level = xl.astype(np.clongdouble)
-    q = len(x) - 1
-    for lev in range(1, q + 1):
-        nxt = np.empty(q + 1 - lev, dtype=np.clongdouble)
-        for i in range(q + 1 - lev):
-            gap = xl[i + lev] - xl[i]
-            left, right = level[i], level[i + 1]
-            if gap <= tie:
-                nxt[i] = 0.5 * (left + right)
-                continue
-            ebar = 0.5 * (right + left)
-            debar = 0.5 * (right - left)
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                arg = 2 * lev * np.sin(tl * debar) / (tl * gap)
-            if arg == 0 or not np.isfinite(complex(arg).real) or not np.isfinite(
-                complex(arg).imag
-            ):
-                raise ZeroDividedDifferenceError(
-                    "divided difference vanishes; effective energy undefined"
-                )
-            nxt[i] = ebar - np.log(arg) / (1j * tl)
-        level = nxt
-    return complex(level[0])
+    for lev in range(1, x.shape[1]):
+        gap = xl[:, lev:] - xl[:, :-lev]
+        left, right = level[:, :-1], level[:, 1:]
+        far = ~(gap <= tie)
+        debar = 0.5 * (right - left)[far]
+        level = 0.5 * (left + right)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            arg = 2 * lev * np.sin(tl * debar) / (tl * gap[far])
+            finite = np.isfinite(arg.astype(complex))
+        if np.any(arg == 0) or not finite.all():
+            raise ZeroDividedDifferenceError(
+                "divided difference vanishes; effective energy undefined"
+            )
+        level[far] -= np.log(arg) / (1j * tl)
+    return _shaped(level[:, 0].astype(complex), one)
 
 
-def dd_exp_pyramid(values, t: float) -> complex:
+def dd_exp_pyramid(values, t: float):
     """e^{-it[x]} through the effective-energy pyramid."""
-    x = np.asarray(values, dtype=float)
-    q = len(x) - 1
+    x, one = _as_rows(values)
+    q = x.shape[1] - 1
     if q == 0:
-        return complex(np.exp(-1j * t * x[0]))
-    if t == 0.0:
-        return 0j
-    eff = effective_energy_pyramid(x, t)
-    return complex(np.exp(-1j * t * eff) * exp_prefactor(q, t))
+        out = np.exp(-1j * t * x[:, 0])
+    elif t == 0.0:
+        out = np.zeros(len(x), dtype=complex)
+    else:
+        out = np.exp(-1j * t * effective_energy_pyramid(x, t)) * exp_prefactor(q, t)
+    return _shaped(out, one)
 
 
-def auto_doubling_depth(values, t: float) -> int:
+def auto_doubling_depth(values, t: float):
     """Depth that balances the O(dt^2) seed error against rounding noise.
 
     The table's systematic error falls like 4^-l while per-pass rounding
     grows like 2^l * eps, so the sweet spot sits near
     l = 18.5 + (2/3) log2(|t| * ymax); measured accuracy there is ~1e-11.
     """
-    x = np.asarray(values, dtype=float)
-    ymax = float(np.max(np.abs(x - np.mean(x))))
-    amp = abs(t) * ymax
-    if amp == 0.0:
-        return 0
-    return max(0, math.ceil(18.5 + (2.0 / 3.0) * math.log2(amp)))
+    x, one = _as_rows(values)
+    amp = abs(t) * np.max(np.abs(x - x.mean(axis=1, keepdims=True)), axis=1)
+    if not np.isfinite(amp).all():
+        raise ValueError("doubling depth needs finite |t| * spread")
+    with np.errstate(divide="ignore"):
+        depth = np.ceil(18.5 + (2.0 / 3.0) * np.log2(amp))
+    depth = np.where(amp == 0.0, 0, np.maximum(depth, 0)).astype(int)
+    return int(depth[0]) if one else depth
 
 
 def _leibniz_seed(y: np.ndarray, dt: float) -> np.ndarray:
-    """Seed table e_jk(dt) ~ prod_m e^{-i dt y_m/(k-j+1)} (upper triangular)."""
-    q = len(y) - 1
-    csum = np.concatenate(([0.0], np.cumsum(y)))
-    e = np.zeros((q + 1, q + 1), dtype=complex)
-    for j in range(q + 1):
-        for k in range(j, q + 1):
-            mean = (csum[k + 1] - csum[j]) / (k - j + 1)
-            e[j, k] = np.exp(-1j * dt * mean)
+    """Seed tables e_jk(dt) ~ prod_m e^{-i dt y_m/(k-j+1)} (upper triangular),
+    one per row of ``y``."""
+    rows, width = y.shape
+    csum = np.concatenate((np.zeros((rows, 1)), np.cumsum(y, axis=1)), axis=1)
+    j, k = np.triu_indices(width)
+    e = np.zeros((rows, width, width), dtype=complex)
+    e[:, j, k] = np.exp(-1j * dt * ((csum[:, k + 1] - csum[:, j]) / (k - j + 1)))
     return e
-
-
-def _leibniz_double(e: np.ndarray, fact_gap: np.ndarray) -> np.ndarray:
-    """One time-doubling pass e(tau) -> e(2 tau) via the Leibniz rule."""
-    gap = np.abs(np.subtract.outer(np.arange(e.shape[0]), np.arange(e.shape[0])))
-    s = np.triu(e / fact_gap)
-    prod = s @ s
-    return np.triu(prod * fact_gap / (2.0 ** gap))
 
 
 def dd_exp_leibniz(
@@ -313,33 +315,51 @@ def dd_exp_leibniz(
 ):
     """e^{-it[x]} via the time-doubling Leibniz table.
 
-    Entries e_jk stay inside the closed unit disc through every pass; with
-    ``return_tables`` the seed and each doubled table are also returned.
+    Entries e_jk stay inside the closed unit disc through every pass.  Rows
+    of equal doubling depth double together, one stacked matmul per pass;
+    with ``return_tables`` (one row only) the seed and each doubled table
+    are also returned.
     """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or len(x) == 0:
-        raise ValueError("values must be a nonempty 1-d sequence")
-    q = len(x) - 1
+    x, one = _as_rows(values)
+    q = x.shape[1] - 1
     if q > MAX_LEIBNIZ_ORDER:
         raise ValueError(f"order q={q} exceeds the table guard {MAX_LEIBNIZ_ORDER}")
-    xbar = float(np.mean(x))
-    y = x - xbar
-    depth = auto_doubling_depth(x, t) if doubling_depth is None else doubling_depth
-    if depth < 0:
+    if return_tables and not one:
+        raise ValueError("return_tables needs a single row")
+    xbar = x.mean(axis=1)
+    y = x - xbar[:, None]
+    if doubling_depth is None:
+        depth = auto_doubling_depth(x, t)
+    elif doubling_depth < 0:
         raise ValueError("doubling depth must be nonnegative")
-    dt = t / (1 << depth)
-    e = _leibniz_seed(y, dt)
-    tables = [e.copy()]
+    else:
+        depth = np.full(len(x), doubling_depth)
     idx = np.arange(q + 1)
     gap = np.abs(np.subtract.outer(idx, idx))
     fact_gap = np.vectorize(math.factorial, otypes=[float])(gap)
-    for k in range(depth):
-        e = _leibniz_double(e, fact_gap)
-        # diagonal entries are exact unit phases; refreshing them avoids
-        # modulus drift from repeated squaring
-        np.fill_diagonal(e, np.exp(-1j * (dt * (1 << (k + 1))) * y))
-        tables.append(e.copy())
-    value = complex(np.exp(-1j * t * xbar) * exp_prefactor(q, t) * e[0, q])
+    pow_gap = 2.0 ** gap
+    e0q = np.empty(len(x), dtype=complex)
+    for d in np.unique(depth).tolist():
+        rows = depth == d
+        yd, dt = y[rows], t / (1 << d)
+        e = _leibniz_seed(yd, dt)
+        tables = [e[0].copy()]
+        for k in range(d):
+            # one time-doubling pass e(tau) -> e(2 tau) via the Leibniz rule
+            s = np.triu(e / fact_gap)
+            e = np.triu((s @ s) * fact_gap / pow_gap)
+            # diagonal entries are exact unit phases; refreshing them avoids
+            # modulus drift from repeated squaring
+            e[:, idx, idx] = np.exp(-1j * (dt * (1 << (k + 1))) * yd)
+            tables.append(e[0].copy())
+        e0q[rows] = e[:, 0, q]
+    a = np.exp(-1j * t * xbar) * exp_prefactor(q, t)
+    # a * e0q in real arithmetic: the complex array multiply may fuse
+    # multiply-adds, so its last bit would depend on the SIMD path
+    value = np.empty(len(x), dtype=complex)
+    value.real = a.real * e0q.real - a.imag * e0q.imag
+    value.imag = a.real * e0q.imag + a.imag * e0q.real
+    value = _shaped(value, one)
     if return_tables:
         return value, tables
     return value
@@ -363,15 +383,25 @@ def dd_magnitude(values, t: float) -> float:
     return abs(dd_exp_taylor(values, t))
 
 
-def dd_exp(values, t: float, config: DdConfig | None = None) -> complex:
-    """Evaluate e^{-it[x]} with the configured method."""
-    cfg = config or DdConfig()
-    if cfg.method == "taylor":
-        return dd_exp_taylor(values, t)
-    if cfg.method == "naive":
-        return dd_exp_naive(values, t)
-    if cfg.method == "pyramid":
-        return dd_exp_pyramid(values, t)
-    if cfg.method == "leibniz":
-        return dd_exp_leibniz(values, t)
-    raise ValueError(f"unknown divided-difference method {cfg.method!r}")
+def dd_exp(values, t: float, config: DdConfig | None = None):
+    """Evaluate e^{-it[x]} with the configured method: a complex for a 1-d
+    ``values``, one value per row for a (rows, q+1) array.
+
+    Taylor rows go to ``dd_exp_taylor_batch`` and one taylor row to the
+    reference ``dd_exp_taylor``; the other methods take rows in chunks whose
+    tables hold at most ``_CHUNK_ENTRIES`` entries.
+    """
+    method = (config or DdConfig()).method
+    x = np.asarray(values, dtype=float)
+    if method == "taylor":
+        return dd_exp_taylor_batch(x, t) if x.ndim == 2 else dd_exp_taylor(x, t)
+    fn = {"naive": dd_exp_naive, "pyramid": dd_exp_pyramid, "leibniz": dd_exp_leibniz}
+    if method not in fn:
+        raise ValueError(f"unknown divided-difference method {method!r}")
+    if x.ndim != 2 or x.shape[1] == 0:
+        return fn[method](x, t)
+    out = np.empty(len(x), dtype=complex)
+    step = max(1, _CHUNK_ENTRIES // x.shape[1] ** 2)
+    for lo in range(0, len(x), step):
+        out[lo : lo + step] = fn[method](x[lo : lo + step], t)
+    return out

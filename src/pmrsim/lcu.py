@@ -220,16 +220,12 @@ def prepare_psi0(
     return vec / norm
 
 
-def apply_B(
-    state: CompositeState, psi0: np.ndarray, direction: str = "forward"
-) -> CompositeState:
+def apply_B(state: CompositeState, psi0: np.ndarray) -> CompositeState:
     """Unitary completion of |0...0> -> psi0 on the ancilla factor.
 
     Implemented as the Householder reflection exchanging the two vectors;
-    it is real and self-inverse, so forward and inverse coincide.
+    it is real and self-inverse, so it also serves as B^dagger.
     """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
     dim = state.system_dim
     mat = state.amplitudes.reshape(state.layout.anc_dim, dim)
     v = psi0.astype(complex).copy()

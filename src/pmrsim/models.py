@@ -435,41 +435,28 @@ def _default_plane_wave(n: int) -> PlaneWaveData:
 
 
 def build_named_model(
-    name: str, n: int, t: float = 1.0, **params
+    name: str, n: int, t: float = 1.0
 ) -> tuple[PmrHamiltonian, ComparisonRecord]:
     """Build a model by name with deterministic default couplings."""
     if name == "zz_only":
-        J = params.get("J")
-        if J is None:
-            J = np.triu(np.ones((n, n)), k=1) / (n - 1 if n > 1 else 1)
+        J = np.triu(np.ones((n, n)), k=1) / (n - 1 if n > 1 else 1)
         return build_table3_model("zz_only", J=J, t=t)
     if name == "zz_zx":
-        J = params.get("J", np.triu(np.ones((n, n)), k=1) / max(n - 1, 1))
-        Jt = params.get("J_tilde", 0.5 * (np.ones((n, n)) - np.eye(n)))
+        J = np.triu(np.ones((n, n)), k=1) / max(n - 1, 1)
+        Jt = 0.5 * (np.ones((n, n)) - np.eye(n))
         return build_table3_model("zz_zx", J=J, J_tilde=Jt, t=t)
     if name == "zzz_zzx":
-        J = params.get("J", np.zeros((n, n, n)))
-        Jt = params.get("J_tilde")
-        if Jt is None:
-            Jt = np.zeros((n, n, n))
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        if len({i, j, k}) == 3:
-                            Jt[i, j, k] = 0.25
-        return build_table3_model("zzz_zzx", J=J, J_tilde=Jt, t=t)
+        Jt = np.zeros((n, n, n))
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if len({i, j, k}) == 3:
+                        Jt[i, j, k] = 0.25
+        return build_table3_model("zzz_zzx", J=np.zeros((n, n, n)), J_tilde=Jt, t=t)
     if name == "fermi_hubbard":
-        return build_fermi_hubbard(
-            n, d=int(params.get("d", 1)), u=float(params.get("u", 4.0)),
-            t_h=float(params.get("t_h", 1.0)), t=t,
-        )
+        return build_fermi_hubbard(n, t=t)
     if name == "schwinger":
-        return build_schwinger(
-            n, mass=float(params.get("mass", 0.5)),
-            coupling=float(params.get("coupling", 1.0)),
-            spacing=float(params.get("spacing", 1.0)),
-            eps0=float(params.get("eps0", 0.0)), t=t,
-        )
+        return build_schwinger(n, mass=0.5, coupling=1.0, spacing=1.0, t=t)
     if name == "electronic_structure":
         return build_electronic_structure(_default_plane_wave(n), t=t)
     raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")

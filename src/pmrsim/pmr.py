@@ -115,21 +115,6 @@ class PauliString:
                 chars.append("I")
         return "".join(chars)
 
-    def dense(self) -> np.ndarray:
-        """Dense matrix of the string (test oracle; small N only)."""
-        if self.n_qubits > DENSE_THRESHOLD:
-            raise ValueError("dense Pauli string limited to small N")
-        dim = 1 << self.n_qubits
-        flip = self.x_mask | self.y_mask
-        cols = np.arange(dim)
-        rows = cols ^ flip
-        # sigma_y = -i * sigma_z * sigma_x, applied qubit-wise
-        phase = (-1j) ** bin(self.y_mask).count("1")
-        signs = parity_signs(self.z_mask | self.y_mask, self.n_qubits)
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[rows, cols] = self.coefficient * phase * signs[rows]
-        return mat
-
 
 @dataclass(frozen=True)
 class DiagonalOperator:
@@ -195,9 +180,6 @@ class PermutationOperator:
     def __post_init__(self):
         if self.x_mask <= 0:
             raise ValueError("permutation must flip at least one qubit")
-
-    def apply(self, z: int) -> int:
-        return z ^ self.x_mask
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,6 @@ class ResourceEstimate:
     gates_total: int
     qubit_cost: int
     rows: dict[str, tuple[int, int]]
-    method_label: str = "offdiag"
 
 
 def _pauli_time(h: PmrHamiltonian, t: float) -> float:

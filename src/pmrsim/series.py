@@ -42,7 +42,6 @@ from .divdiff import (
     DdConfig,
     SeriesConvergenceError,
     dd_exp,
-    dd_exp_taylor_batch,
     exp_prefactor,
     series_order,
 )
@@ -295,12 +294,6 @@ def _require_finite(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_dd(seqs: np.ndarray, delta_t: float, config: DdConfig) -> np.ndarray:
-    if config.method == "taylor":
-        return dd_exp_taylor_batch(seqs, delta_t)
-    return np.array([dd_exp(row, delta_t, config) for row in seqs], dtype=complex)
-
-
 def _path_levels(
     h: PmrHamiltonian, plan: SegmentPlan, sources: np.ndarray, config: DdConfig, levels
 ):
@@ -308,7 +301,7 @@ def _path_levels(
     ``levels[j-1]``, in lexicographic order; the positions of the kept paths
     in that order; their destinations z ^ mask (kept, sources); and their
     coefficients e^{-i dt [0, E_{z_1} - E_z, ...]} * prod_j d_{i_j}(z_j),
-    from one divided-difference batch.  A path whose hopping product is zero
+    from one ``dd_exp`` call per level.  A path whose hopping product is zero
     at every source is dropped, and so are its extensions."""
     energies = h.diagonal_values()
     d_tab = np.array([h.term_values(i) for i in range(h.m)])
@@ -327,7 +320,7 @@ def _path_levels(
         live = np.flatnonzero(np.any(dprod != 0, axis=1))
         parent, keep, dest, dprod = parent[live], keep[live], dest[live], dprod[live]
         seq = np.concatenate((seq[parent], (energies[dest] - e_src)[..., None]), axis=2)
-        dd = _batch_dd(seq.reshape(-1, q + 1), plan.delta_t, config).reshape(dest.shape)
+        dd = dd_exp(seq.reshape(-1, q + 1), plan.delta_t, config).reshape(dest.shape)
         yield flips, keep, dest, dd * dprod
 
 

@@ -116,10 +116,13 @@ class TestEvolveCommand:
 
 
 class TestLcuCommand:
-    def test_agrees_with_series_run(self, tmp_path):
+    @pytest.mark.parametrize("method", ["taylor", "pyramid", "leibniz"])
+    def test_agrees_with_series_run(self, tmp_path, method):
         ev, lc = tmp_path / "ev.csv", tmp_path / "lc.csv"
-        eps = 1e-4
-        argv = ["--hamiltonian", SAMPLE, "--t", "0.9", "--epsilon", repr(eps), "--seed", "3"]
+        # the enumerating methods run at a looser eps to keep the test short
+        eps = 1e-4 if method == "taylor" else 1e-3
+        argv = ["--hamiltonian", SAMPLE, "--t", "0.9", "--epsilon", repr(eps), "--seed", "3",
+                "--dd-method", method]
         assert main(["evolve"] + argv + ["--output", str(ev)]) == 0
         assert main(["lcu"] + argv + ["--output", str(lc)]) == 0
         e1 = float(read_csv(ev)[0]["error_2norm"])

@@ -251,5 +251,37 @@ class TestSharedProperties:
         with pytest.raises(ValueError):
             dd_exp(x, t, DdConfig(method="newton"))
 
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_empty_input_rejected(self, t):
+        for fn in (dd_exp_taylor, dd_exp_naive, dd_exp_pyramid, dd_exp_leibniz):
+            with pytest.raises(ValueError):
+                fn([], t)
+
+    def test_batch_matches_rows(self):
+        # one call over a batch against one call per row: naive and pyramid
+        # bitwise, leibniz to rounding; at q = 10, 300 rows of 11 x 11 tables
+        # fill three chunks of dd_exp's 2^14 entries
+        rng = np.random.default_rng(61)
+        t = 0.9
+        for q in range(11):
+            rows = 300 if q == 10 else 40
+            # row scales from 1e-3 to 10 give leibniz several doubling depths
+            x = rng.uniform(-1, 1, size=(rows, q + 1)) * 10 ** rng.uniform(-3, 1, (rows, 1))
+            repeated = x.copy()
+            if q:
+                repeated[::2, 1] = repeated[::2, 0]
+                # a near repeat under the row's own tie tolerance
+                scale = np.maximum(1.0, np.max(np.abs(x[1::4]), axis=1))
+                repeated[1::4, 1] = repeated[1::4, 0] + 0.5e-9 * scale
+            for method, seqs in (("naive", x), ("pyramid", repeated), ("leibniz", repeated)):
+                cfg = DdConfig(method=method)
+                batch = dd_exp(seqs, t, cfg)
+                single = np.array([dd_exp(row, t, cfg) for row in seqs])
+                if method == "leibniz":
+                    assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
+                else:
+                    assert np.array_equal(batch, single)
+        assert len(np.unique(auto_doubling_depth(repeated, t))) > 1
+
     def test_prefactor_helper(self):
         assert exp_prefactor(3, 0.5) == pytest.approx((-0.5j) ** 3 / 6)

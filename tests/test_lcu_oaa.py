@@ -144,7 +144,7 @@ class TestApplyB:
         rng, h, g, plan, ops = small_setup()
         for _ in range(100):
             comp = random_composite(rng, ops.layout, h.n_qubits)
-            back = apply_B(apply_B(comp, ops.psi0), ops.psi0, direction="inverse")
+            back = apply_B(apply_B(comp, ops.psi0), ops.psi0)
             assert np.max(np.abs(back.amplitudes - comp.amplitudes)) < 1e-12
 
     def test_overlap_with_zero_pattern(self):
@@ -157,7 +157,7 @@ class TestApplyB:
             ops.layout,
             h.n_qubits,
         )
-        out = apply_B(comp, ops.psi0, direction="inverse")
+        out = apply_B(comp, ops.psi0)
         assert out.block(0)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_preserved(self):
