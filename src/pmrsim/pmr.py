@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -122,6 +123,11 @@ class DiagonalOperator:
 
     Duplicate masks are merged at construction; term order is canonical
     (ascending mask) so equal operators compare equal.
+
+    The operator's value at z depends only on the k qubits of its support,
+    the union of its z-masks.  Its values over the 2^k support states are
+    computed once per operator, on first use, and cached as a read-only
+    table; ``values`` and ``gamma_bounds`` read that table.
     """
 
     terms: tuple[tuple[complex, int], ...]
@@ -149,13 +155,47 @@ class DiagonalOperator:
             total += coeff if bin(z & mask).count("1") % 2 == 0 else -coeff
         return total
 
-    def values(self) -> np.ndarray:
-        """Diagonal elements over all 2^N basis states."""
+    @property
+    def _support(self) -> int:
+        """Union of the z-masks: the qubits the values depend on."""
+        support = 0
+        for _, mask in self.terms:
+            support |= mask
+        return support
+
+    @cached_property
+    def _support_table(self) -> np.ndarray:
+        """Values over the 2^k support states, shaped (2,) * k.
+
+        Axis a holds the a-th highest support qubit, so the table broadcasts
+        against the (2,) * N view of a full state vector once the other axes
+        are given length 1.  Terms are summed in canonical order from zero,
+        as a full enumeration would, so every entry is bitwise equal to the
+        value at each basis state that matches it on the support.
+        """
+        # values() and exact bounds refuse N > 22 whatever the support size
         if self.n_qubits > ENUMERATION_THRESHOLD:
             raise ValueError("full enumeration limited to small N")
-        out = np.zeros(1 << self.n_qubits, dtype=complex)
+        support = self._support
+        qubits = [j for j in range(self.n_qubits) if support >> j & 1]
+        table = np.zeros(1 << len(qubits), dtype=complex)
         for coeff, mask in self.terms:
-            out += coeff * parity_signs(mask, self.n_qubits)
+            packed = sum(1 << p for p, j in enumerate(qubits) if mask >> j & 1)
+            table += coeff * parity_signs(packed, len(qubits))
+        table.flags.writeable = False
+        return table.reshape((2,) * len(qubits))
+
+    def values(self) -> np.ndarray:
+        """Diagonal elements over all 2^N basis states, as a fresh array.
+
+        One broadcast of the cached 2^k-entry support table; the result is
+        bitwise the same as summing every term over all 2^N states.
+        """
+        table = self._support_table
+        n, support = self.n_qubits, self._support
+        shape = [2 if support >> j & 1 else 1 for j in reversed(range(n))]
+        out = np.empty(1 << n, dtype=complex)
+        out.reshape((2,) * n)[...] = table.reshape(shape)
         return out
 
     def sum_abs(self) -> float:
@@ -328,8 +368,11 @@ def gamma_bounds(
 ) -> GammaBounds:
     """Per-term bounds on max_z |d_i(z)|.
 
-    ``exact`` enumerates all basis states (small N); ``sum_abs`` returns the
-    always-valid sum of coefficient magnitudes.
+    ``exact`` takes the maximum over the 2^k states of each D_i's support
+    (cost O(terms * 2^k), with the table cached on D_i), which equals the
+    maximum over all 2^N basis states bit for bit; it still refuses
+    N > ``enumeration_threshold``.  ``sum_abs`` returns the always-valid sum
+    of coefficient magnitudes.
     """
     if mode == "exact":
         if h.n_qubits > enumeration_threshold:
@@ -337,10 +380,7 @@ def gamma_bounds(
                 f"exact bounds need enumeration over 2^{h.n_qubits} states; "
                 f"threshold is 2^{enumeration_threshold}"
             )
-        gamma = tuple(
-            float(np.max(np.abs(h.term_values(i)))) if h.terms else 0.0
-            for i in range(h.m)
-        )
+        gamma = tuple(float(np.max(np.abs(d._support_table))) for d, _ in h.terms)
     elif mode == "sum_abs":
         gamma = tuple(d.sum_abs() for d, _ in h.terms)
     else:

@@ -31,6 +31,20 @@ def write_diag_file(tmp_path):
     return str(path)
 
 
+def check_skipped_past_dense_oracle(tmp_path, capsys, command):
+    """--check on 13 qubits has no dense reference: it must say so on stderr."""
+    path = tmp_path / "h13.txt"
+    path.write_text("1.0 XIIIIIIIIIIII\n0.5 ZZIIIIIIIIIII\n0.3 IIIIIIIIIIIZZ\n")
+    out = tmp_path / "run.csv"
+    code = main(
+        [command, "--hamiltonian", str(path), "--t", "0.5", "--epsilon", "1e-3",
+         "--check", "--output", str(out)]
+    )
+    assert code == 0
+    assert "check skipped: N = 13 > 12, no dense reference\n" in capsys.readouterr().err
+    assert all(row["error_2norm"] == "" for row in read_csv(out))
+
+
 class TestEvolveCommand:
     def test_diagonal_file_is_exact(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -96,6 +110,9 @@ class TestEvolveCommand:
             assert code == 4
             err = capsys.readouterr().err
             assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+    def test_check_skipped_past_dense_oracle(self, tmp_path, capsys):
+        check_skipped_past_dense_oracle(tmp_path, capsys, "evolve")
 
     def test_basis_initial_state(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -163,6 +180,9 @@ class TestLcuCommand:
              "--phase-bits", "4", "--check", "--output", str(tmp_path / "x.csv")]
         )
         assert code == 4
+
+    def test_check_skipped_past_dense_oracle(self, tmp_path, capsys):
+        check_skipped_past_dense_oracle(tmp_path, capsys, "lcu")
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -20,7 +20,7 @@ from pmrsim import (
     pauli_to_pmr,
     pmr_to_pauli_strings,
 )
-from pmrsim.pmr import hermiticity_defect
+from pmrsim.pmr import hermiticity_defect, parity_signs
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -257,6 +257,62 @@ class TestGammaBounds:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             GammaBounds((-1.0,))
+
+
+def full_enumeration(d):
+    """Reference: every term summed over all 2^N states, in canonical order."""
+    out = np.zeros(1 << d.n_qubits, dtype=complex)
+    for coeff, mask in d.terms:
+        out += coeff * parity_signs(mask, d.n_qubits)
+    return out
+
+
+def with_term(d):
+    """A one-term Hamiltonian whose only off-diagonal diagonal is ``d``."""
+    n = d.n_qubits
+    return PmrHamiltonian(DiagonalOperator.zero(n), ((d, PermutationOperator(1)),), n)
+
+
+class TestSupportTable:
+    def random_diagonals(self, rng, n):
+        def coeff():
+            return complex(rng.normal(), rng.normal())
+
+        def masks(bits, count):
+            return [sum(1 << b for b in bits if rng.random() < 0.5) for _ in range(count)]
+
+        ends = sorted({0, n - 1} | ({n // 2} if n > 4 else set()))
+        return [
+            DiagonalOperator.zero(n),
+            DiagonalOperator([(0.75, 0)], n),
+            DiagonalOperator([(-0.5j, 0), (0.3, 1 << (n - 1))], n),
+            DiagonalOperator([(coeff(), m) for m in masks(range(n), 5)], n),
+            DiagonalOperator([(float(rng.normal()), m) for m in masks(ends, 4)], n),
+            DiagonalOperator(
+                [(coeff(), (1 << n) - 1)] + [(coeff(), m) for m in masks(range(n), 3)], n
+            ),
+        ]
+
+    def test_matches_full_enumeration_bitwise(self):
+        rng = np.random.default_rng(53)
+        for n in range(1, 13):
+            for d in self.random_diagonals(rng, n):
+                ref = full_enumeration(d)
+                assert d.values().tobytes() == ref.tobytes()
+                gamma = gamma_bounds(with_term(d), "exact").gamma[0]
+                assert np.float64(gamma).tobytes() == np.max(np.abs(ref)).tobytes()
+
+    def test_values_returns_a_fresh_array(self):
+        d = DiagonalOperator([(0.4 - 0.2j, 0b1001), (-1.1, 0b1000), (0.3, 0)], 5)
+        h = with_term(d)
+        ref = full_enumeration(d)
+        gamma = gamma_bounds(h, "exact")
+        first = d.values()
+        first[:] = 7.0
+        assert d.values().tobytes() == ref.tobytes()
+        assert gamma_bounds(h, "exact") == gamma
+        table = d._support_table
+        assert table.size == 4 and not table.flags.writeable
 
 
 class TestDenseMatrix:
