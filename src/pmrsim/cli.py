@@ -197,6 +197,8 @@ def cmd_lcu(args) -> int:
 def cmd_divdiff(args) -> int:
     values = [float(v) for v in args.inputs]
     t = args.t
+    if not np.isfinite(values + [t]).all():
+        raise ValueError("divdiff inputs and --t must be finite")
     q = len(values) - 1
     reference = dd_exp_taylor(values, t)
     results: list[tuple[str, complex | None]] = [("taylor", reference)]

@@ -4,19 +4,23 @@ Four evaluation routes are provided:
 
 * ``naive``   -- the defining sum over nodes (distinct inputs only);
 * ``taylor``  -- mean-shifted series over complete homogeneous symmetric
-                 polynomials; the reference oracle with a controlled
-                 truncation criterion;
+                 polynomials, truncated by ``series_order``;
 * ``pyramid`` -- recursion over complex 'effective energy differences',
                  one pyramid level per input;
 * ``leibniz`` -- triangular product table doubled from a small seed time
                  step via the divided-difference Leibniz rule.
 
 Each method evaluates one row or a batch of rows: a 1-d ``values`` gives a
-complex, a (rows, q+1) array one value per row.  The scalar ``dd_exp_taylor``
-is the reference the others are tested against.  All routes agree to high
-relative accuracy for moderate q and |t| * spread.  The scaled quantity
-e0q = q!/(-it)^q * e^{-it[x]} lies in the closed unit disc, which several
-tests rely on.
+complex, a (rows, q+1) array one value per row.  One Taylor kernel serves
+``divdiff``, ``series`` and ``lcu``: the coefficient table
+(-it)^{q+n}/(q+n)!, the input-addition step h_n <- h_n + y * h_{n-1} and
+``series_order``, the one rule that picks the Taylor degree.
+``dd_exp_taylor_batch`` runs it over rows (it is what ``dd_exp`` and the
+path tables of ``lcu`` call), ``dd_exp_taylor`` is its one-row call, and
+the recursion in ``series`` adds one input per flip to its summed profiles.
+All routes agree to high relative accuracy for moderate q and
+|t| * spread.  The scaled quantity e0q = q!/(-it)^q * e^{-it[x]} lies in the
+closed unit disc, which several tests rely on.
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ class ZeroDividedDifferenceError(ArithmeticError):
 
 
 class SeriesConvergenceError(RuntimeError):
-    """The Taylor-form series failed to converge within the term budget."""
+    """The Taylor-form series cannot be summed in float64: |t|*spread is not
+    finite, its terms overflow, or it needs more terms than the budget."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,10 @@ def dd_exp_naive(values, t: float) -> complex:
 def series_order(amp: float, tol: float) -> int:
     """Smallest degree n whose tail cap amp^{n+1}/(n+1)! / (1 - amp/(n+2))
     is at most ``tol``: the truncation order of a Taylor-form series whose
-    inputs lie within amp/|t| of their shift point."""
+    inputs lie within amp/|t| of their shift point, and the only rule that
+    picks a Taylor degree."""
+    if not math.isfinite(amp):
+        raise SeriesConvergenceError(f"series needs a finite |t|*spread, got {amp}")
     n, bound = 0, 1.0
     budget = int(10 * (amp + 20)) + 64
     while True:
@@ -133,102 +141,66 @@ def series_order(amp: float, tol: float) -> int:
         bound *= amp / n
         if n + 2 > amp and bound * (amp / (n + 1)) / (1 - amp / (n + 2)) <= tol:
             return n
-        if n > budget:
+        if n > budget or math.isinf(bound):
             raise SeriesConvergenceError(
-                f"series needs more than {budget} terms (|t|*spread ~ {amp:.3g})"
+                f"series terms overflow float64 or do not converge (|t|*spread ~ {amp:.3g})"
             )
 
 
-def dd_exp_taylor(values, t: float, tol: float = SERIES_TOL) -> complex:
-    """Mean-shifted series oracle.
-
-    Computes e^{-it xbar} * sum_n (-it)^{q+n}/(q+n)! * h_n(x - xbar) where
-    h_n is the complete homogeneous symmetric polynomial; summation is
-    compensated and stops once a rigorous bound on the remaining tail drops
-    below ``tol`` relative to the accumulated value.
-    """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or len(x) == 0:
-        raise ValueError("values must be a nonempty 1-d sequence")
-    q = len(x) - 1
-    xbar = float(np.mean(x))
-    y = x - xbar
-    hsum = _hsum(y, t, tol)
-    return complex(np.exp(-1j * t * xbar) * exp_prefactor(q, t) * hsum)
+def _taylor_coefficients(q_max: int, n_max: int, t: float) -> np.ndarray:
+    """c[q, n] = (-it)^{q+n}/(q+n)! for q <= q_max and n <= n_max, each row
+    continued from ``exp_prefactor`` by the ratio product."""
+    c = np.empty((q_max + 1, n_max + 1), dtype=complex)
+    for q in range(q_max + 1):
+        c[q, 0] = exp_prefactor(q, t)
+        for n in range(1, n_max + 1):
+            c[q, n] = c[q, n - 1] * (-1j * t) / (q + n)
+    return c
 
 
-def _hsum(y: np.ndarray, t: float, tol: float) -> complex:
-    """sum_n q! (-it)^n/(q+n)! * h_n(y) for mean-zero inputs y; |result| <= 1."""
-    q = len(y) - 1
-    ymax = float(np.max(np.abs(y))) if len(y) else 0.0
-    if ymax == 0.0 or t == 0.0:
-        return 1.0 + 0.0j
-    A = abs(t) * ymax
-    budget = int(10 * (q + A + 20)) + 2
-    # profile[j] = h_n(y_0..y_j) for the current degree n
-    profile = np.ones(q + 1, dtype=float)
-    ratio = 1.0 + 0.0j
-    acc = 1.0 + 0.0j  # n = 0 term
-    comp = 0.0 + 0.0j
-    bound = 1.0  # A^n / n!
-    for n in range(1, budget):
-        np.multiply(profile, y, out=profile)
-        np.cumsum(profile, out=profile)
-        ratio *= (-1j * t) / (q + n)
-        term = ratio * profile[-1]
-        # Neumaier compensation
-        s = acc + term
-        if abs(s) >= abs(term):
-            comp += (acc - s) + term
-        else:
-            comp += (term - s) + acc
-        acc = s
-        bound *= A / n
-        if n + 2 > A:
-            tail = bound * (A / (n + 1)) / (1.0 - A / (n + 2))
-            if tail <= tol * max(abs(acc + comp), 1e-30):
-                return complex(acc + comp)
-    raise SeriesConvergenceError(
-        f"series did not converge within {budget} terms (q={q}, |t|*spread~{A:.3g})"
-    )
+def _add_input(h: np.ndarray, y) -> None:
+    """Add the input y to the profile ``h`` in place, ascending in the degree
+    on axis 0: h_n(..., y) = h_n(...) + y * h_{n-1}(..., y)."""
+    for n in range(1, len(h)):
+        h[n] += y * h[n - 1]
 
 
 def dd_exp_taylor_batch(seqs: np.ndarray, t: float, tol: float = SERIES_TOL) -> np.ndarray:
-    """Vectorized Taylor-form evaluation over rows of equal length.
+    """Taylor-form kernel over rows of equal length.
 
-    ``seqs`` has shape (rows, q+1); returns e^{-it[row]} for every row.  The
-    truncation order is ``series_order`` of the largest spread in the batch.
-    For real t the per-degree coefficient alternates between purely real and
-    purely imaginary, so the sum accumulates in two real arrays.
+    ``seqs`` has shape (rows, q+1); returns e^{-it[row]} for every row as
+    e^{-it xbar} * sum_n (-it)^{q+n}/(q+n)! * h_n(row - xbar), with xbar the
+    row mean and h_n the complete homogeneous symmetric polynomial.  The
+    profile h_0..h_{n_max} starts at h_0 = 1 and takes the row's inputs one
+    at a time (Gupta, Barash & Hen, Comput. Phys. Commun. 254, 2020); the
+    degree n_max is ``series_order`` of the largest |t| * |row - xbar| in the
+    batch, so the dropped tail is at most ``tol`` * |t|^q/q! in every row.
+    For real t each coefficient is purely real or purely imaginary, so the
+    sum is two real matrix-vector products.
     """
     seqs = np.asarray(seqs, dtype=float)
     rows, width = seqs.shape
     q = width - 1
     xbar = seqs.mean(axis=1)
-    out = np.exp(-1j * t * xbar)
-    out *= exp_prefactor(q, t)
-    if q == 0 or t == 0.0 or rows == 0:
-        return out
     y = seqs - xbar[:, None]
-    ymax = float(np.max(np.abs(y)))
-    if ymax == 0.0:
-        return out
+    ymax = float(np.max(np.abs(y))) if rows else 0.0
+    if q == 0 or t == 0.0 or ymax == 0.0:
+        return np.exp(-1j * t * xbar) * exp_prefactor(q, t)
     n_max = series_order(abs(t) * ymax, tol)
-    profile = np.ones_like(y)
-    acc_re = np.ones(rows)
-    acc_im = np.zeros(rows)
-    ratio = 1.0 + 0.0j
-    for n in range(1, n_max + 1):
-        np.multiply(profile, y, out=profile)
-        np.cumsum(profile, axis=1, out=profile)
-        ratio *= (-1j * t) / (q + n)
-        h = profile[:, -1]
-        if ratio.real != 0.0:
-            acc_re += ratio.real * h
-        if ratio.imag != 0.0:
-            acc_im += ratio.imag * h
-    out *= acc_re + 1j * acc_im
-    return out
+    h = np.zeros((n_max + 1, rows))
+    h[0] = 1.0
+    for col in y.T:
+        _add_input(h, col)
+    c = _taylor_coefficients(q, n_max, t)[q]
+    return np.exp(-1j * t * xbar) * (c.real @ h + 1j * (c.imag @ h))
+
+
+def dd_exp_taylor(values, t: float, tol: float = SERIES_TOL) -> complex:
+    """e^{-it[x]} for one row: ``dd_exp_taylor_batch`` on a (1, q+1) array."""
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1 or len(x) == 0:
+        raise ValueError("values must be a nonempty 1-d sequence")
+    return complex(dd_exp_taylor_batch(x[None, :], t, tol)[0])
 
 
 def effective_energy_pyramid(values, t: float):
@@ -366,16 +338,18 @@ def dd_exp_leibniz(
 
 
 def small_tau_error(values, delta_t: float) -> float:
-    """|e_0q(dt) - prod_m e^{-i dt x_m/(q+1)}| with the exact e_0q from the oracle.
+    """|e_0q(dt) - prod_m e^{-i dt x_m/(q+1)}| with e_0q = q!/(-i dt)^q *
+    e^{-i dt [y]} from the Taylor kernel on the mean-zero inputs y.
 
     This is the seed error of the Leibniz table; it is O(dt^2 * spread^2).
     """
     x = np.asarray(values, dtype=float)
     if delta_t == 0.0:
         return 0.0
-    y = x - np.mean(x)
     # both quantities share the pure mean phase, which drops out
-    return float(abs(_hsum(y, delta_t, 1e-15) - 1.0))
+    dd = dd_exp_taylor(x - np.mean(x), delta_t, 1e-15)
+    e0q = dd / exp_prefactor(len(x) - 1, delta_t)
+    return float(abs(e0q - 1.0))
 
 
 def dd_magnitude(values, t: float) -> float:
@@ -387,9 +361,9 @@ def dd_exp(values, t: float, config: DdConfig | None = None):
     """Evaluate e^{-it[x]} with the configured method: a complex for a 1-d
     ``values``, one value per row for a (rows, q+1) array.
 
-    Taylor rows go to ``dd_exp_taylor_batch`` and one taylor row to the
-    reference ``dd_exp_taylor``; the other methods take rows in chunks whose
-    tables hold at most ``_CHUNK_ENTRIES`` entries.
+    Taylor rows go to ``dd_exp_taylor_batch`` and one taylor row to its
+    one-row call ``dd_exp_taylor``; the other methods take rows in chunks
+    whose tables hold at most ``_CHUNK_ENTRIES`` entries.
     """
     method = (config or DdConfig()).method
     x = np.asarray(values, dtype=float)

@@ -28,8 +28,9 @@ import numpy as np
 from .divdiff import DdConfig
 from .oracle import DenseOracle
 from .pmr import GammaBounds, PmrHamiltonian
-from .series import (LN2, Path, SegmentPlan, _check_path, _path_levels, _require_finite,
-                     apply_diagonal, partial_exp_sum, plan_segments)
+from .series import (DEFAULT_WORK_BUDGET, LN2, Path, SegmentPlan, WorkBudgetExceededError,
+                     _check_path, _path_levels, _require_finite, apply_diagonal,
+                     partial_exp_sum, plan_segments)
 
 __all__ = [
     "AncillaLayout",
@@ -462,7 +463,8 @@ def evolve_lcu(
     Between segments the off-block amplitude is discarded (recorded in the
     diagnostics) and the system re-normalized.  Diagonal-only plans evolve
     exactly without ancillas.  For N <= 6 each segment also records its
-    trace residual against the dense oracle.
+    trace residual against the dense oracle.  The r segments together may
+    touch at most ``series.DEFAULT_WORK_BUDGET`` composite amplitudes.
     """
     config = config or LcuConfig()
     state = np.asarray(state, dtype=complex)
@@ -475,6 +477,11 @@ def evolve_lcu(
             f"composite dimension 2 * sum_{{q<=Q}} M^q * 2^N = "
             f"2 * sum_{{q<={plan.Q}}} {h.m}^q * 2^{h.n_qubits} = {composite_dim} "
             f"exceeds budget {composite_budget}"
+        )
+    if plan.r * composite_dim > DEFAULT_WORK_BUDGET:
+        raise WorkBudgetExceededError(
+            plan.r * composite_dim, DEFAULT_WORK_BUDGET,
+            f"{plan.r} * {composite_dim}", "r * composite dimension",
         )
     ops = SegmentOperators(h, g, plan, config)
     oracle = DenseOracle(h) if h.n_qubits <= 6 else None

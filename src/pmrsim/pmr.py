@@ -290,6 +290,8 @@ def pauli_to_pmr(strings: list[PauliString]) -> PmrHamiltonian:
     n = strings[0].n_qubits
     if any(s.n_qubits != n for s in strings):
         raise ValueError("all strings must share n_qubits")
+    if not np.isfinite([s.coefficient for s in strings]).all():
+        raise ValueError("coefficients must be finite")
     scale = max(abs(s.coefficient) for s in strings)
     tol = MERGE_RTOL * scale
 
@@ -482,7 +484,9 @@ def parse_hamiltonian(text: str, n_qubits: int | None = None) -> list[PauliStrin
         try:
             coeff = float(parts[0])
         except ValueError:
-            raise HamiltonianParseError(f"bad coefficient {parts[0]!r}", lineno) from None
+            coeff = np.nan
+        if not np.isfinite(coeff):
+            raise HamiltonianParseError(f"bad coefficient {parts[0]!r}", lineno)
         if n_qubits is not None and len(parts[1]) != n_qubits:
             raise HamiltonianParseError(
                 f"word length {len(parts[1])} != {n_qubits}", lineno

@@ -17,6 +17,8 @@ prices the work and picks one of two engines by method:
   paths that end at the same state after q flips share one summed profile,
   so a level is a gather over the M terms on the states R reachable from
   the block: O(Q * M * |R| * n_max) work instead of O(M^Q * 2^N * n_max).
+  The coefficients, the extension step and the degree n_max come from the
+  Taylor kernel in ``divdiff``.
 * naive, pyramid, leibniz: nonlinear in the path, so ``_uod_paths``
   enumerates every path.  It is also the recursion's small-N reference.
 
@@ -41,8 +43,9 @@ from .divdiff import (
     SERIES_TOL,
     DdConfig,
     SeriesConvergenceError,
+    _add_input,
+    _taylor_coefficients,
     dd_exp,
-    exp_prefactor,
     series_order,
 )
 from .pmr import GammaBounds, PmrHamiltonian, diagonal_energy, hopping_strength
@@ -165,6 +168,8 @@ def plan_segments(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if len(g.gamma) != h.m:
         raise ValueError(f"got {len(g.gamma)} bounds for M={h.m} terms")
     T = abs(t) * g.gamma_total
@@ -268,11 +273,12 @@ def apply_diagonal(h: PmrHamiltonian, state: np.ndarray, delta_t: float) -> np.n
 
 
 def _check_budget(
-    h: PmrHamiltonian, plan: SegmentPlan, method: str, budget: int
+    h: PmrHamiltonian, plan: SegmentPlan, method: str, budget: int, segments: int = 1
 ) -> None:
-    """Refuse a segment whose work exceeds ``budget``.  The taylor recursion
+    """Refuse work above ``budget``.  Per segment, the taylor recursion
     gathers over M terms for Q levels on |R| <= 2^N states, so it is priced
-    Q * M * 2^N; path enumeration costs M^Q * 2^N."""
+    Q * M * 2^N; path enumeration costs M^Q * 2^N.  A run of r > 1
+    ``segments`` is priced r times that."""
     n = h.n_qubits
     if method == "taylor":
         product = plan.Q * h.m << n
@@ -280,6 +286,9 @@ def _check_budget(
     else:
         product = h.m ** plan.Q << n
         detail, work = f"{h.m}^{plan.Q} * 2^{n}", "path work M^Q * 2^N"
+    if segments > 1:
+        product *= segments
+        detail, work = f"{segments} * {detail}", f"r * {work}"
     if product > budget:
         raise WorkBudgetExceededError(product, budget, detail, work)
 
@@ -380,7 +389,9 @@ class _Recursion:
     nonzero.  Energies are shifted by c, the midpoint of E over R, so
     |y| = |E - c| is at most half their spread there.  ``gathers`` holds one
     (source position, d_i at R) pair per term that hops inside R; position
-    len(R) points at a zero row.  ``pref[q, n]`` is (-i dt)^{q+n}/(q+n)!.
+    len(R) points at a zero row.  ``pref`` is the Taylor kernel's table
+    c[q, n] = (-i dt)^{q+n}/(q+n)! up to the degree ``series_order`` picks
+    for the shifted energies.
     """
 
     def __init__(
@@ -415,14 +426,9 @@ class _Recursion:
         self.c = 0.5 * (lo + hi)
         self.y = (energies - self.c)[:, None]
         self.energies = energies
-        dt = plan.delta_t
-        amp = abs(dt) * (hi - lo) / 2
+        amp = abs(plan.delta_t) * (hi - lo) / 2
         n_max = series_order(amp, SERIES_TOL) if amp > 0.0 else 0
-        self.pref = np.empty((plan.Q + 1, n_max + 1), dtype=complex)
-        for q in range(plan.Q + 1):
-            self.pref[q, 0] = exp_prefactor(q, dt)
-            for n in range(1, n_max + 1):
-                self.pref[q, n] = self.pref[q, n - 1] * (-1j * dt) / (q + n)
+        self.pref = _taylor_coefficients(plan.Q, n_max, plan.delta_t)
 
     def sweep(self, out: np.ndarray, start: np.ndarray) -> None:
         """Add the flip-path sums for q = 1..Q to ``out`` (|R|, k) in place.
@@ -431,27 +437,22 @@ class _Recursion:
         start[z] * e^{-i dt [y_z, y_{z_1}, ..., y_{z_q}]} * prod_j d_{i_j}.
         Every path ending at the same state after q flips shares one profile
         P[n] = sum of weight * prod d * h_n(y along the path), so one flip
-        is a gather over terms followed by the h_n extension with the new
-        state's y.
+        is a gather over terms followed by the kernel's input-addition step
+        with the new state's y.
         """
         n_deg = self.pref.shape[1]
         n_rows, k = out.shape
         prof = np.zeros((n_deg, n_rows + 1, k), dtype=complex)
         prof[0, :n_rows] = start
-        self._extend(prof[:, :n_rows])
+        _add_input(prof[:, :n_rows], self.y)
         for q in range(1, self.pref.shape[0]):
             level = np.zeros((n_deg, n_rows, k), dtype=complex)
             for src_pos, coef in self.gathers:
                 level += coef * prof[:, src_pos]
-            self._extend(level)
+            _add_input(level, self.y)
             for n in range(n_deg):
                 out += self.pref[q, n] * level[n]
             prof[:, :n_rows] = level
-
-    def _extend(self, prof: np.ndarray) -> None:
-        """h_n(..., y) = h_n(...) + y * h_{n-1}(..., y), ascending in n."""
-        for n in range(1, len(prof)):
-            prof[n] += self.y * prof[n - 1]
 
 
 def _apply_recursion(
@@ -532,7 +533,8 @@ def evolve(
     factor e^{i dt (E_z - c)} is the global e^{-i dt c}.  The other methods
     enumerate paths: when the dense segment matrix is affordable and reused
     across several segments it is built once; otherwise each segment
-    re-enumerates paths matrix-free.
+    re-enumerates paths matrix-free.  The work budget prices all r segments,
+    or one for the reused matrix.
     """
     state = np.asarray(state, dtype=complex)
     plan = plan_segments(h, g, t, epsilon, q_override=q_override)
@@ -542,7 +544,9 @@ def evolve(
     dim = 1 << h.n_qubits
     if state.shape != (dim,):
         raise ValueError("state length must be 2^N")
-    _check_budget(h, plan, cfg.method, work_budget)
+    reuse = cfg.method != "taylor" and plan.r > 1 and dim * dim <= _MATRIX_REUSE_ENTRIES
+    # the reused matrix is built once; the other routes run r segments
+    _check_budget(h, plan, cfg.method, work_budget, 1 if reuse else plan.r)
     if cfg.method == "taylor":
         rec = _Recursion(h, plan, state != 0, plan.r * plan.Q)
         phases = np.exp(-1j * plan.delta_t * rec.energies)[:, None]
@@ -555,7 +559,7 @@ def evolve(
         state = np.zeros(dim, dtype=complex)
         state[rec.rows] = sub[:, 0]
         return _require_finite(state)
-    if plan.r > 1 and dim * dim <= _MATRIX_REUSE_ENTRIES:
+    if reuse:
         mat = uod_matrix(h, g, plan, cfg, work_budget)
         phases = np.exp(-1j * plan.delta_t * h.diagonal_values())
         for _ in range(plan.r):

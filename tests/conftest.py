@@ -1,6 +1,7 @@
 """Shared test helpers: instance generators and independent dense oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -53,6 +54,35 @@ def conditioned_dd_instance(rng, q_max=12, amp_max=8.0):
         envelope = abs(t) ** q / math.factorial(q)
         if abs(value) >= 1e-2 * envelope:
             return x, t, value
+
+
+def exact_dd_exp(values, t):
+    """e^{-it[x]} from its Taylor form sum_n (-it)^{q+n}/(q+n)! * h_n(x) in
+    exact rational arithmetic (floats are rationals), rounded once at the end.
+
+    No mean shift and no floating-point step, so it shares no rounding with
+    ``pmrsim.divdiff``.  With X = max |x|, term n is at most
+    |t|^q/q! * (|t| X)^n/n!, and the sum stops once the geometric cap on the
+    rest falls below 1e-25 of that envelope |t|^q/q!.
+    """
+    x = [Fraction(float(v)) for v in values]
+    s, q = Fraction(float(t)), len(values) - 1
+    amp = abs(s) * max(abs(v) for v in x)
+    h = [Fraction(1)] * (q + 1)  # h[j] = h_n(x_0..x_j) at the current degree n
+    coeff = s ** q / math.factorial(q)  # t^{q+n}/(q+n)!
+    parts = [Fraction(0)] * 4  # sums by (q+n) mod 4, the power of -i
+    n, cap = 0, Fraction(1)
+    while True:
+        parts[(q + n) % 4] += coeff * h[q]
+        n += 1
+        cap *= amp / n  # amp^n/n!, the cap on term n in envelope units
+        if n + 1 > amp and cap / (1 - amp / (n + 1)) < Fraction(1, 10**25):
+            break
+        coeff *= s / (q + n)
+        for j in range(q + 1):  # h_n(x_0..x_j) = h_n(x_0..x_{j-1}) + x_j h_{n-1}(x_0..x_j)
+            h[j] = (h[j - 1] if j else 0) + x[j] * h[j]
+    # (-i)^k is 1, -i, -1, i for k = 0, 1, 2, 3
+    return complex(float(parts[0] - parts[2]), float(parts[3] - parts[1]))
 
 
 def random_pmr_hamiltonian(rng, n=4, m_terms=4, n_diag=3, coupling=1.0):

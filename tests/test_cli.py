@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import time
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,55 @@ class TestEvolveCommand:
         ) == 0
         text = capsys.readouterr().out
         assert "error_2norm" in text and "," not in text.split("\n")[0]
+
+
+# (Hamiltonian file text written to "{h}", argv, exit code)
+NON_FINITE_RUNS = [
+    ("1.0 XI\nnan ZZ\n", ["evolve", "--hamiltonian", "{h}", "--check"], 2),
+    ("nan XI\n1.0 ZZ\n", ["evolve", "--hamiltonian", "{h}", "--check"], 2),
+    ("inf ZI\n1.0 XI\n", ["evolve", "--hamiltonian", "{h}"], 2),
+    (None, ["evolve", "--hamiltonian", SAMPLE, "--t", "inf"], 2),
+    (None, ["lcu", "--hamiltonian", SAMPLE, "--t", "inf"], 2),
+    (None, ["resources", "--hamiltonian", SAMPLE, "--t", "inf"], 2),
+    (None, ["divdiff", "0", "1", "--t", "inf"], 2),
+    (None, ["divdiff", "0", "nan", "--t", "1"], 2),
+    # |t| * spread overflows to inf inside the Taylor kernel
+    (None, ["divdiff", "0", "1e308", "--t", "10"], 4),
+    # |t| * spread is finite, but the series' terms would overflow float64
+    (None, ["divdiff", "0", "1e200", "--t", "1"], 4),
+]
+
+
+@pytest.mark.parametrize("text, argv, code", NON_FINITE_RUNS)
+def test_non_finite_input_exits_cleanly(tmp_path, capsys, text, argv, code):
+    if text is not None:
+        path = tmp_path / "h.txt"
+        path.write_text(text)
+        argv = [str(path) if arg == "{h}" else arg for arg in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    prefix = "input error:" if code == 2 else "numerical failure:"
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "lcu"])
+@pytest.mark.parametrize(
+    "text, t",
+    [(None, "1e9"), ("1e200 XI\n1e200 ZI\n", "1")],
+    ids=["sample4q", "field1e200"],
+)
+def test_many_segments_exceed_budget_at_once(tmp_path, capsys, command, text, t):
+    # the budget prices all r segments, so a huge r is refused before any work
+    path = SAMPLE
+    if text is not None:
+        path = tmp_path / "h.txt"
+        path.write_text(text)
+    start = time.perf_counter()
+    assert main([command, "--hamiltonian", str(path), "--t", t]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded:") and err.count("\n") == 1
 
 
 class TestLcuCommand:

@@ -76,12 +76,39 @@ class TestTaylor:
         assert abs(exact - limit) < 1e-5
 
     def test_batch_matches_scalar(self):
+        # both entry points of the one kernel against an exact rational sum,
+        # to 1e-13 of the |t|^q/q! envelope: q <= 8, repeated and nearly
+        # repeated inputs, t of both signs, |t| * max |x| up to 10
+        from conftest import exact_dd_exp
+
         rng = np.random.default_rng(2)
-        seqs = rng.uniform(-2, 2, size=(50, 6))
-        batch = dd_exp_taylor_batch(seqs, 0.9)
-        for row, got in zip(seqs, batch):
-            ref = dd_exp_taylor(row, 0.9)
-            assert abs(got - ref) <= 1e-12 * max(abs(ref), 1e-12)
+        for q in range(1, 9):
+            seqs = rng.uniform(-1, 1, size=(12, q + 1))
+            if q > 1:
+                seqs[::3, 1] = seqs[::3, 0]
+                seqs[1::3, 2] = seqs[1::3, 0] * (1 + 1e-12)
+            amp = rng.uniform(0.0, 10.0)
+            t = rng.choice([-1.0, 1.0]) * amp / np.max(np.abs(seqs))
+            envelope = abs(t) ** q / math.factorial(q)
+            batch = dd_exp_taylor_batch(seqs, t)
+            for row, got in zip(seqs, batch):
+                ref = exact_dd_exp(row, t)
+                assert abs(got - ref) <= 1e-13 * envelope
+                assert abs(dd_exp_taylor(row, t) - ref) <= 1e-13 * envelope
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-6, 1e-9])
+    def test_truncation_meets_tol(self, tol):
+        # at q = 1 the shifted inputs are -d, d and every even-degree term is
+        # within a factor n + 1 of its cap, so a degree short of
+        # series_order's shows as an error above tol
+        from conftest import exact_dd_exp
+
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            x = rng.uniform(-1, 1, size=2)
+            t = rng.uniform(0.05, 4.0) / np.max(np.abs(x))
+            got = dd_exp_taylor(x, t, tol)
+            assert abs(got - exact_dd_exp(x, t)) <= tol * abs(t)
 
     def test_zero_time(self):
         assert dd_exp_taylor([1.0, 2.0], 0.0) == 0.0
@@ -273,12 +300,18 @@ class TestSharedProperties:
                 # a near repeat under the row's own tie tolerance
                 scale = np.maximum(1.0, np.max(np.abs(x[1::4]), axis=1))
                 repeated[1::4, 1] = repeated[1::4, 0] + 0.5e-9 * scale
-            for method, seqs in (("naive", x), ("pyramid", repeated), ("leibniz", repeated)):
+            cases = (("naive", x), ("pyramid", repeated), ("leibniz", repeated),
+                     ("taylor", repeated))
+            for method, seqs in cases:
                 cfg = DdConfig(method=method)
                 batch = dd_exp(seqs, t, cfg)
                 single = np.array([dd_exp(row, t, cfg) for row in seqs])
                 if method == "leibniz":
                     assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
+                elif method == "taylor":
+                    # a batch runs to the degree of its widest row
+                    envelope = abs(t) ** q / math.factorial(q)
+                    assert np.all(np.abs(batch - single) <= 1e-13 * envelope)
                 else:
                     assert np.array_equal(batch, single)
         assert len(np.unique(auto_doubling_depth(repeated, t))) > 1

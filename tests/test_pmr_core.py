@@ -117,6 +117,14 @@ class TestPauliToPmr:
         with pytest.raises(ValueError):
             pauli_to_pmr([PauliString.from_word(1.0, "Z"), PauliString.from_word(1.0, "ZZ")])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # a NaN would become the pruning scale and silently drop every term
+        for first, second in (("XI", "ZZ"), ("ZZ", "XI")):
+            strings = [PauliString.from_word(bad, first), PauliString.from_word(1.0, second)]
+            with pytest.raises(ValueError, match="finite"):
+                pauli_to_pmr(strings)
+
     def test_dense_round_trip_random(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
