@@ -11,16 +11,11 @@ Four evaluation routes are provided:
                  step via the divided-difference Leibniz rule.
 
 Each method evaluates one row or a batch of rows: a 1-d ``values`` gives a
-complex, a (rows, q+1) array one value per row.  One Taylor kernel serves
-``divdiff``, ``series`` and ``lcu``: the coefficient table
-(-it)^{q+n}/(q+n)!, the input-addition step h_n <- h_n + y * h_{n-1} and
-``series_order``, the one rule that picks the Taylor degree.
-``dd_exp_taylor_batch`` runs it over rows (it is what ``dd_exp`` and the
-path tables of ``lcu`` call), ``dd_exp_taylor`` is its one-row call, and
-the recursion in ``series`` adds one input per flip to its summed profiles.
-All routes agree to high relative accuracy for moderate q and
-|t| * spread.  The scaled quantity e0q = q!/(-it)^q * e^{-it[x]} lies in the
-closed unit disc, which several tests rely on.
+complex, a (rows, q+1) array one value per row.  One Taylor kernel
+(``_taylor_row``, ``_add_input``, ``series_order``) serves ``divdiff``,
+``series`` and ``lcu``.  All routes agree to high relative accuracy for
+moderate q and |t| * spread.  The scaled quantity e0q = q!/(-it)^q *
+e^{-it[x]} lies in the closed unit disc, which several tests rely on.
 """
 
 from __future__ import annotations
@@ -147,15 +142,14 @@ def series_order(amp: float, tol: float) -> int:
             )
 
 
-def _taylor_coefficients(q_max: int, n_max: int, t: float) -> np.ndarray:
-    """c[q, n] = (-it)^{q+n}/(q+n)! for q <= q_max and n <= n_max, each row
-    continued from ``exp_prefactor`` by the ratio product."""
-    c = np.empty((q_max + 1, n_max + 1), dtype=complex)
-    for q in range(q_max + 1):
-        c[q, 0] = exp_prefactor(q, t)
-        for n in range(1, n_max + 1):
-            c[q, n] = c[q, n - 1] * (-1j * t) / (q + n)
-    return c
+def _taylor_row(start: complex, q: int, n_max: int, t: float) -> np.ndarray:
+    """start * q!(-it)^n/(q+n)! for n <= n_max, by the ratio product; from
+    start = ``exp_prefactor(q, t)`` it is the Taylor coefficient row
+    (-it)^{q+n}/(q+n)!."""
+    row = np.full(n_max + 1, start, dtype=complex)
+    for n in range(1, n_max + 1):
+        row[n] = row[n - 1] * (-1j * t) / (q + n)
+    return row
 
 
 def _add_input(h: np.ndarray, y) -> None:
@@ -165,34 +159,36 @@ def _add_input(h: np.ndarray, y) -> None:
         h[n] += y * h[n - 1]
 
 
-def dd_exp_taylor_batch(seqs: np.ndarray, t: float, tol: float = SERIES_TOL) -> np.ndarray:
-    """Taylor-form kernel over rows of equal length.
-
-    ``seqs`` has shape (rows, q+1); returns e^{-it[row]} for every row as
-    e^{-it xbar} * sum_n (-it)^{q+n}/(q+n)! * h_n(row - xbar), with xbar the
-    row mean and h_n the complete homogeneous symmetric polynomial.  The
-    profile h_0..h_{n_max} starts at h_0 = 1 and takes the row's inputs one
-    at a time (Gupta, Barash & Hen, Comput. Phys. Commun. 254, 2020); the
-    degree n_max is ``series_order`` of the largest |t| * |row - xbar| in the
-    batch, so the dropped tail is at most ``tol`` * |t|^q/q! in every row.
-    For real t each coefficient is purely real or purely imaginary, so the
-    sum is two real matrix-vector products.
-    """
-    seqs = np.asarray(seqs, dtype=float)
-    rows, width = seqs.shape
+def _taylor_sum(y: np.ndarray, t: float, tol: float) -> np.ndarray:
+    """sum_n q!(-it)^n/(q+n)! * h_n(row) = q!/(-it)^q * e^{-it[row]} per row
+    of ``y`` (rows, q+1), for rows near 0.  The profile h_0..h_{n_max}
+    starts at h_0 = 1 and takes a row's inputs one at a time (Gupta, Barash
+    & Hen, Comput. Phys. Commun. 254, 2020), to the ``series_order`` degree
+    of the largest |t| * |y|.  The coefficient row starts at 1, so nothing
+    underflows at large q; for real t each coefficient is real or imaginary,
+    so the sum is two real matrix-vector products."""
+    rows, width = y.shape
     q = width - 1
-    xbar = seqs.mean(axis=1)
-    y = seqs - xbar[:, None]
     ymax = float(np.max(np.abs(y))) if rows else 0.0
     if q == 0 or t == 0.0 or ymax == 0.0:
-        return np.exp(-1j * t * xbar) * exp_prefactor(q, t)
+        return np.ones(rows, dtype=complex)
     n_max = series_order(abs(t) * ymax, tol)
     h = np.zeros((n_max + 1, rows))
     h[0] = 1.0
     for col in y.T:
         _add_input(h, col)
-    c = _taylor_coefficients(q, n_max, t)[q]
-    return np.exp(-1j * t * xbar) * (c.real @ h + 1j * (c.imag @ h))
+    r = _taylor_row(1.0, q, n_max, t)
+    return r.real @ h + 1j * (r.imag @ h)
+
+
+def dd_exp_taylor_batch(seqs: np.ndarray, t: float, tol: float = SERIES_TOL) -> np.ndarray:
+    """Taylor-form kernel over rows of equal length: for ``seqs`` (rows, q+1),
+    e^{-it[row]} = e^{-it xbar} * (-it)^q/q! * ``_taylor_sum`` of row - xbar,
+    with xbar the row mean.  The dropped tail is at most ``tol`` * |t|^q/q!."""
+    seqs = np.asarray(seqs, dtype=float)
+    xbar = seqs.mean(axis=1)
+    s = _taylor_sum(seqs - xbar[:, None], t, tol)
+    return np.exp(-1j * t * xbar) * exp_prefactor(seqs.shape[1] - 1, t) * s
 
 
 def dd_exp_taylor(values, t: float, tol: float = SERIES_TOL) -> complex:
@@ -339,7 +335,8 @@ def dd_exp_leibniz(
 
 def small_tau_error(values, delta_t: float) -> float:
     """|e_0q(dt) - prod_m e^{-i dt x_m/(q+1)}| with e_0q = q!/(-i dt)^q *
-    e^{-i dt [y]} from the Taylor kernel on the mean-zero inputs y.
+    e^{-i dt [y]}, the Taylor kernel's normalized sum on the mean-zero
+    inputs y (no (-i dt)^q/q! factor, which underflows at large q).
 
     This is the seed error of the Leibniz table; it is O(dt^2 * spread^2).
     """
@@ -347,8 +344,7 @@ def small_tau_error(values, delta_t: float) -> float:
     if delta_t == 0.0:
         return 0.0
     # both quantities share the pure mean phase, which drops out
-    dd = dd_exp_taylor(x - np.mean(x), delta_t, 1e-15)
-    e0q = dd / exp_prefactor(len(x) - 1, delta_t)
+    e0q = _taylor_sum((x - np.mean(x))[None, :], delta_t, 1e-15)[0]
     return float(abs(e0q - 1.0))
 
 

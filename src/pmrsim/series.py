@@ -44,8 +44,9 @@ from .divdiff import (
     DdConfig,
     SeriesConvergenceError,
     _add_input,
-    _taylor_coefficients,
+    _taylor_row,
     dd_exp,
+    exp_prefactor,
     series_order,
 )
 from .pmr import GammaBounds, PmrHamiltonian, diagonal_energy, hopping_strength
@@ -273,14 +274,19 @@ def apply_diagonal(h: PmrHamiltonian, state: np.ndarray, delta_t: float) -> np.n
 
 
 def _check_budget(
-    h: PmrHamiltonian, plan: SegmentPlan, method: str, budget: int, segments: int = 1
+    h: PmrHamiltonian, plan: SegmentPlan, method: str, budget: int,
+    segments: int = 1, states: int | None = None,
 ) -> None:
     """Refuse work above ``budget``.  Per segment, the taylor recursion
     gathers over M terms for Q levels on |R| <= 2^N states, so it is priced
-    Q * M * 2^N; path enumeration costs M^Q * 2^N.  A run of r > 1
-    ``segments`` is priced r times that."""
+    Q * M * 2^N, or Q * M * |R| once ``states`` = |R| is known; path
+    enumeration costs M^Q * 2^N.  A run of r > 1 ``segments`` is priced r
+    times that."""
     n = h.n_qubits
-    if method == "taylor":
+    if method == "taylor" and states is not None:
+        product = plan.Q * h.m * states
+        detail, work = f"{plan.Q} * {h.m} * {states}", "recursion work Q * M * |R|"
+    elif method == "taylor":
         product = plan.Q * h.m << n
         detail, work = f"{plan.Q} * {h.m} * 2^{n}", "recursion work Q * M * 2^N"
     else:
@@ -426,9 +432,11 @@ class _Recursion:
         self.c = 0.5 * (lo + hi)
         self.y = (energies - self.c)[:, None]
         self.energies = energies
-        amp = abs(plan.delta_t) * (hi - lo) / 2
+        dt = plan.delta_t
+        amp = abs(dt) * (hi - lo) / 2
         n_max = series_order(amp, SERIES_TOL) if amp > 0.0 else 0
-        self.pref = _taylor_coefficients(plan.Q, n_max, plan.delta_t)
+        self.pref = np.array([_taylor_row(exp_prefactor(q, dt), q, n_max, dt)
+                              for q in range(plan.Q + 1)])
 
     def sweep(self, out: np.ndarray, start: np.ndarray) -> None:
         """Add the flip-path sums for q = 1..Q to ``out`` (|R|, k) in place.
@@ -534,7 +542,7 @@ def evolve(
     enumerate paths: when the dense segment matrix is affordable and reused
     across several segments it is built once; otherwise each segment
     re-enumerates paths matrix-free.  The work budget prices all r segments,
-    or one for the reused matrix.
+    the recursion's on the reachable set R, or one for the reused matrix.
     """
     state = np.asarray(state, dtype=complex)
     plan = plan_segments(h, g, t, epsilon, q_override=q_override)
@@ -544,11 +552,11 @@ def evolve(
     dim = 1 << h.n_qubits
     if state.shape != (dim,):
         raise ValueError("state length must be 2^N")
-    reuse = cfg.method != "taylor" and plan.r > 1 and dim * dim <= _MATRIX_REUSE_ENTRIES
-    # the reused matrix is built once; the other routes run r segments
-    _check_budget(h, plan, cfg.method, work_budget, 1 if reuse else plan.r)
     if cfg.method == "taylor":
+        # one segment bounds building the tables; all r run on R
+        _check_budget(h, plan, cfg.method, work_budget)
         rec = _Recursion(h, plan, state != 0, plan.r * plan.Q)
+        _check_budget(h, plan, cfg.method, work_budget, plan.r, len(rec.rows))
         phases = np.exp(-1j * plan.delta_t * rec.energies)[:, None]
         shift = np.exp(-1j * plan.delta_t * rec.c)
         sub = state[rec.rows][:, None]
@@ -559,6 +567,9 @@ def evolve(
         state = np.zeros(dim, dtype=complex)
         state[rec.rows] = sub[:, 0]
         return _require_finite(state)
+    reuse = plan.r > 1 and dim * dim <= _MATRIX_REUSE_ENTRIES
+    # the reused matrix is built once; matrix-free runs r segments
+    _check_budget(h, plan, cfg.method, work_budget, 1 if reuse else plan.r)
     if reuse:
         mat = uod_matrix(h, g, plan, cfg, work_budget)
         phases = np.exp(-1j * plan.delta_t * h.diagonal_values())

@@ -170,14 +170,15 @@ def test_non_finite_input_exits_cleanly(tmp_path, capsys, text, argv, code):
     ids=["sample4q", "field1e200"],
 )
 def test_many_segments_exceed_budget_at_once(tmp_path, capsys, command, text, t):
-    # the budget prices all r segments, so a huge r is refused before any work
+    # the budget prices all r segments, so a huge r is refused before any
+    # segment runs; the loose time bound only catches a run that does
     path = SAMPLE
     if text is not None:
         path = tmp_path / "h.txt"
         path.write_text(text)
     start = time.perf_counter()
     assert main([command, "--hamiltonian", str(path), "--t", t]) == 3
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 10.0
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded:") and err.count("\n") == 1
 

@@ -207,6 +207,19 @@ class TestSmallTauError:
             if big > 1e-12:
                 assert big / small >= 3.5
 
+    @pytest.mark.parametrize("q", [47, 50, 64])
+    def test_seed_step_at_high_order(self, q):
+        # the Leibniz seed step of q + 1 inputs over [0, 1] at t = 1 is
+        # 2^-18; there (-i dt)^q/q! is subnormal or zero in float64, and the
+        # normalized sum needs no such factor.  To leading order the error is
+        # the n = 2 term dt^2 h_2(y)/((q+1)(q+2)), h_2(y) = sum y^2 / 2 at mean 0.
+        x = np.linspace(0.0, 1.0, q + 1)
+        dt = 2.0 ** -auto_doubling_depth(x, 1.0)
+        y = x - x.mean()
+        lead = dt ** 2 * np.sum(y ** 2) / (2 * (q + 1) * (q + 2))
+        # |e0q - 1| is rounded against 1, so its relative accuracy is ~1e-2
+        assert small_tau_error(x, dt) == pytest.approx(lead, rel=0.05, abs=0.0)
+
 
 class TestMagnitude:
     def test_single_input_is_one(self):

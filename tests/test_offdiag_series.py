@@ -517,6 +517,22 @@ class TestRecursionVsReference:
         out = evolve(h, g, psi, 4.0, 1e-6)
         assert np.linalg.norm(out - DenseOracle(h).evolve(psi, 4.0)) <= 1e-6
 
+    def test_taylor_run_priced_on_reachable_states(self):
+        # a three-particle state reaches the C(5, 3) = 10 states of its sector,
+        # so all r segments are priced r * Q * M * 10, not r * Q * M * 2^5
+        h = number_conserving_hamiltonian(np.random.default_rng(500), 5)
+        g = gamma_bounds(h)
+        plan = plan_segments(h, g, 4.0, 1e-6)
+        psi = np.zeros(32, dtype=complex)
+        psi[0b01011] = 1.0
+        price = plan.r * plan.Q * h.m * 10
+        assert plan.r > 1 and price < plan.r * plan.Q * h.m * 32
+        out = evolve(h, g, psi, 4.0, 1e-6, work_budget=price)
+        assert np.linalg.norm(out - DenseOracle(h).evolve(psi, 4.0)) <= 1e-6
+        with pytest.raises(WorkBudgetExceededError, match="r \\* recursion work Q \\* M \\* \\|R\\|") as err:
+            evolve(h, g, psi, 4.0, 1e-6, work_budget=price - 1)
+        assert err.value.product == price
+
     def test_reference_route_still_prices_paths(self):
         h = number_conserving_hamiltonian(np.random.default_rng(500), 5)
         g = gamma_bounds(h)
