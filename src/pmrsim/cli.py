@@ -15,6 +15,7 @@ an error above tolerance with --check.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -32,7 +33,7 @@ from .divdiff import (
     dd_exp_taylor,
     small_tau_error,
 )
-from .lcu import CompositeBudgetError, LcuConfig, evolve_lcu
+from .lcu import CompositeBudgetError, LcuConfig, _evolve_lcu_runs
 from .models import MODEL_NAMES, build_named_model
 from .oracle import DenseOracle
 from .pmr import (
@@ -97,8 +98,9 @@ def _initial_state(arg: str, n_qubits: int, seed: int) -> np.ndarray:
 
 
 def _quiet_overflow():
-    """evolve and evolve_lcu raise SeriesConvergenceError on a non-finite
-    result, so numpy's overflow warnings on the way would only repeat it."""
+    """evolve, evolve_lcu and the divdiff reference raise
+    SeriesConvergenceError on a non-finite result, so numpy's overflow
+    warnings on the way would only repeat it."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -150,19 +152,17 @@ def cmd_lcu(args) -> int:
     plan = plan_segments(h, g, args.t, args.epsilon)
     config = LcuConfig(phase_bits=args.phase_bits, dd=DdConfig(method=args.dd_method))
     start = time.perf_counter()
+    quantized = args.phase_bits is not None
     with _quiet_overflow():
-        out, diags = evolve_lcu(h, g, psi, args.t, args.epsilon, config)
+        # the exact-phase run shares the quantized run's path coefficients
+        out, diags, exact_out = _evolve_lcu_runs(
+            h, g, psi, args.t, args.epsilon, config, exact_too=quantized
+        )
     elapsed = time.perf_counter() - start
     error = None
     if h.n_qubits <= DENSE_THRESHOLD:
         error = float(np.linalg.norm(out - DenseOracle(h).evolve(psi, args.t)))
-    quant_error = None
-    if args.phase_bits is not None:
-        with _quiet_overflow():
-            exact_out, _ = evolve_lcu(
-                h, g, psi, args.t, args.epsilon, LcuConfig(dd=DdConfig(method=args.dd_method))
-            )
-        quant_error = float(np.linalg.norm(out - exact_out))
+    quant_error = float(np.linalg.norm(out - exact_out)) if quantized else None
     header = [
         "hamiltonian", "N", "M", "segment", "t", "epsilon", "T", "r", "Q", "s",
         "anc_zero_weight", "discarded_weight", "trace_residual",
@@ -200,29 +200,30 @@ def cmd_divdiff(args) -> int:
     if not np.isfinite(values + [t]).all():
         raise ValueError("divdiff inputs and --t must be finite")
     q = len(values) - 1
-    reference = dd_exp_taylor(values, t)
-    results: list[tuple[str, complex | None]] = [("taylor", reference)]
-    try:
-        results.append(("naive", dd_exp_naive(values, t)))
-    except RepeatedInputsError:
-        results.append(("naive", None))
-    results.append(("pyramid", dd_exp_pyramid(values, t) if t != 0 else None))
-    results.append(("leibniz", dd_exp_leibniz(values, t)))
-    header = ["quantity", "value_re", "value_im", "abs_dev_vs_taylor"]
-    rows = []
-    for name, val in results:
-        if val is None:
-            rows.append([name, "n/a", "n/a", "n/a"])
-        else:
-            rows.append([name, val.real, val.imag, abs(val - reference)])
-    bound = abs(t) ** q / math.factorial(q)
-    rows.append(["magnitude", abs(reference), None, None])
-    rows.append(["magnitude_bound", bound, None, None])
-    depth = auto_doubling_depth(values, t)
-    seed_dt = t / (1 << depth)
-    rows.append(["doubling_depth", depth, None, None])
-    rows.append(["seed_error", small_tau_error(values, seed_dt), None, None])
-    rows.append(["seed_error_bound", seed_dt ** 2, None, None])
+    with _quiet_overflow():
+        reference = dd_exp_taylor(values, t)
+        results: list[tuple[str, complex | None]] = [("taylor", reference)]
+        try:
+            results.append(("naive", dd_exp_naive(values, t)))
+        except RepeatedInputsError:
+            results.append(("naive", None))
+        results.append(("pyramid", dd_exp_pyramid(values, t) if t != 0 else None))
+        results.append(("leibniz", dd_exp_leibniz(values, t)))
+        header = ["quantity", "value_re", "value_im", "abs_dev_vs_taylor"]
+        rows = []
+        for name, val in results:
+            if val is None:
+                rows.append([name, "n/a", "n/a", "n/a"])
+            else:
+                rows.append([name, val.real, val.imag, abs(val - reference)])
+        bound = abs(t) ** q / math.factorial(q)
+        rows.append(["magnitude", abs(reference), None, None])
+        rows.append(["magnitude_bound", bound, None, None])
+        depth = auto_doubling_depth(values, t)
+        seed_dt = t / (1 << depth)
+        rows.append(["doubling_depth", depth, None, None])
+        rows.append(["seed_error", small_tau_error(values, seed_dt), None, None])
+        rows.append(["seed_error_bound", seed_dt ** 2, None, None])
     _emit(_render(header, rows, args.format), args.output)
     return 0
 
@@ -335,7 +336,10 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return rest[:1] + flags + rest[1:]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The pmrsim argument parser, built once per process; ``parse_args``
+    leaves it unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="pmrsim",
         description="Desk-scale emulation of off-diagonal-series Hamiltonian dynamics",

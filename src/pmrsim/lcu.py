@@ -9,18 +9,34 @@ segment is the diagonal phase on the system followed by A = -W R W' R W
 with W = B' U_C B, where B prepares the LCU weight state and U_C applies,
 conditioned on the ancilla, a diagonal phase pair and the path's bit flips.
 
+``evolve_lcu`` runs each segment on the system register alone.  With
+V = <0|W|0>, the ancilla-zero block of A is exactly 3V - 4VV'V (Berry,
+Childs, Cleve, Kothari & Somma, PRL 114, 090502, 2015).  B|0> is the real
+weight state psi0, so V = sum_a psi0_a^2 U_a, where U_a is ancilla index a's
+phase row followed by its flip.  Indices that share a flip mask f merge into
+one row c_f(z), which leaves F <= min(anc_dim / 2, 2^N) rows, and
+V x = sum_f (c_f x)[z ^ f], V' x = sum_f conj(c_f) x[z ^ f].
+
+The composite emulator (``CompositeState``, ``apply_B``, ``apply_U_C``,
+``apply_W``, ``apply_reflection``, ``oaa_segment``) carries the whole
+ancilla x system state through the circuit.  It is the reference that the
+system-register segment is checked against; no run goes through it.
+
 Everything is plain state-vector arithmetic, and no operator is
-materialized densely.  Each SegmentOperators builds its phase tables level
-by level from the path enumerator it shares with ``series``
+materialized densely.  Each SegmentOperators builds its path coefficients
+level by level from the path enumerator it shares with ``series``
 (``series._path_levels``); a path that is zero at every source is not
 evaluated and gets beta = 0.  It keeps one phase row and flip mask per
-ancilla index, so U_C acts on every block in a single gather.
+ancilla index, and the phase rows at another phase precision can be rebuilt
+from the same coefficients.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -45,6 +61,7 @@ __all__ = [
     "apply_reflection",
     "apply_W",
     "oaa_segment",
+    "system_segment",
     "evolve_lcu",
     "lcu_weights",
     "CompositeBudgetError",
@@ -245,37 +262,46 @@ def _quantize_angle(theta: np.ndarray, bits: int) -> np.ndarray:
     return np.ceil(wrapped / step) * step
 
 
-def _path_tables(
+def _path_betas(
     h: PmrHamiltonian,
     gam: np.ndarray,
     plan: SegmentPlan,
-    config: LcuConfig,
+    dd: DdConfig,
     levels,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per level q, the cumulative flip masks (P,) and per-source phase pairs
-    e^{i theta_0}, e^{i theta_1} (P, 2^N) of every path with i_j in
-    ``levels[j-1]``, in lexicographic order; level 0 is the empty path.  The
-    path coefficients come from ``series._path_levels``; a path it drops is
-    zero at every source and gets beta = 0."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative flip masks (P,) and path coefficients beta (P, 2^N) of the
+    empty path and of every path with i_j in ``levels[j-1]``, level by level
+    in lexicographic order.  beta is the ``series._path_levels`` coefficient
+    over the path weight gamma_path |dt|^q / q!, so it does not depend on the
+    phase precision; a path ``_path_levels`` drops is zero at every source
+    and gets beta = 0."""
     dim = 1 << h.n_qubits
-    ones = np.ones((1, dim), dtype=complex)
-    out = [(np.zeros(1, dtype=np.int64), ones, ones)]  # the empty path has beta = 1
+    flips = [np.zeros(1, dtype=np.int64)]
+    betas = [np.ones((1, dim), dtype=complex)]  # the empty path has beta = 1
     gam_path = np.ones(1)
-    paths = _path_levels(h, plan, np.arange(dim), config.dd, levels)
-    for q, (terms, (flips, keep, _, coeff)) in enumerate(zip(levels, paths), start=1):
+    paths = _path_levels(h, plan, np.arange(dim), dd, levels)
+    for q, (terms, (cum, keep, _, coeff)) in enumerate(zip(levels, paths), start=1):
         gam_path = np.outer(gam_path, gam[list(terms)]).reshape(-1)
         weight = (gam_path[keep] * abs(plan.delta_t) ** q / math.factorial(q))[:, None]
-        beta = np.zeros((len(flips), dim), dtype=complex)
+        beta = np.zeros((len(cum), dim), dtype=complex)
         beta[keep] = np.divide(coeff, weight, out=np.zeros_like(coeff), where=weight != 0.0)
-        mag = np.abs(beta)
-        chi = np.where(mag > 0, np.angle(beta), 0.0)
-        phi = np.arccos(np.clip(mag, 0.0, 1.0))
-        theta0, theta1 = chi + phi, chi - phi
-        if config.phase_bits is not None:
-            theta0 = _quantize_angle(theta0, config.phase_bits)
-            theta1 = _quantize_angle(theta1, config.phase_bits)
-        out.append((flips, np.exp(1j * theta0), np.exp(1j * theta1)))
-    return out
+        flips.append(cum)
+        betas.append(beta)
+    return np.concatenate(flips), np.concatenate(betas)
+
+
+def _phase_pair(beta: np.ndarray, phase_bits: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Phase rows e^{i theta_0}, e^{i theta_1}, theta_k = chi +/- phi, with
+    beta = cos(phi) e^{i chi}; with ``phase_bits`` both angles are first
+    rounded up to the b-bit grid."""
+    mag = np.abs(beta)
+    chi = np.where(mag > 0, np.angle(beta), 0.0)
+    phi = np.arccos(np.clip(mag, 0.0, 1.0))
+    theta0, theta1 = chi + phi, chi - phi
+    if phase_bits is not None:
+        theta0 = _quantize_angle(theta0, phase_bits)
+        theta1 = _quantize_angle(theta1, phase_bits)
+    return np.exp(1j * theta0), np.exp(1j * theta1)
 
 
 def compute_phase_angles(
@@ -295,16 +321,18 @@ def compute_phase_angles(
     indices = tuple(path.indices)
     _check_path(h, plan, z, indices)
     gam, _ = lcu_weights(g, plan, config)
-    _, ph0, ph1 = _path_tables(h, gam, plan, config, [[i] for i in indices])[-1]
-    theta0, theta1 = float(np.angle(ph0[0, z])), float(np.angle(ph1[0, z]))
+    _, beta = _path_betas(h, gam, plan, config.dd, [[i] for i in indices])
+    ph0, ph1 = _phase_pair(beta[-1], config.phase_bits)
+    theta0, theta1 = float(np.angle(ph0[z])), float(np.angle(ph1[z]))
     return 0.5 * (theta0 + theta1), 0.5 * (theta0 - theta1)
 
 
 class SegmentOperators:
-    """Per-plan tables: the weight state and, per ancilla index a, the path's
-    flip mask, phase row e^{i theta_k(z)} and gather index a * 2^N + (z ^ mask).
-    The levels of ``_path_tables`` concatenate in ``AncillaLayout.paths()``
-    order, so row a is the path of rank a >> 1 with k = a & 1.
+    """Per-plan tables: the weight state; per ancilla index a, the path's flip
+    mask and phase row e^{i theta_k(z)}; and the F rows of V = <0|W|0> on the
+    system register.  The paths of ``_path_betas`` come in
+    ``AncillaLayout.paths()`` order, so row a is the path of rank a >> 1 with
+    k = a & 1.
     """
 
     def __init__(
@@ -321,13 +349,39 @@ class SegmentOperators:
         self.gam, self.s = lcu_weights(g, plan, self.config)
         self.psi0 = prepare_psi0(g, plan, self.config)
         self._energies = h.diagonal_values()
-        levels = _path_tables(h, self.gam, plan, self.config, [range(h.m)] * plan.Q)
-        cum, ph0, ph1 = (np.concatenate(parts) for parts in zip(*levels))
-        dim = 1 << h.n_qubits
-        self.phases = np.stack((ph0, ph1), axis=1).reshape(-1, dim)
+        cum, self._beta = _path_betas(h, self.gam, plan, self.config.dd, [range(h.m)] * plan.Q)
         self.flips = np.repeat(cum, 2)
+        self._build_phases()
+
+    def _build_phases(self) -> None:
+        """Phase rows from the path coefficients at ``config.phase_bits``,
+        and V's rows c_f(z) = sum_{a: flip_a = f} psi0_a^2 e^{i theta_a(z)}."""
+        dim = 1 << self.h.n_qubits
+        ph0, ph1 = _phase_pair(self._beta, self.config.phase_bits)
+        self.phases = np.stack((ph0, ph1), axis=1).reshape(-1, dim)
+        masks, group = np.unique(self.flips, return_inverse=True)
+        rows = np.zeros((len(masks), dim), dtype=complex)
+        np.add.at(rows, group, (self.psi0 ** 2)[:, None] * self.phases)
+        index_type = np.min_scalar_type(dim - 1)
+        self._v_index = np.arange(dim, dtype=index_type) ^ masks[:, None].astype(index_type)
+        self._v_rows = np.take_along_axis(rows, self._v_index, axis=1)  # c_f(z ^ f)
+        self._v_dagger_rows = rows.conj()
+
+    def _with_phase_bits(self, phase_bits: int | None) -> "SegmentOperators":
+        """These operators at another phase precision, from the same path
+        coefficients (no path is evaluated again)."""
+        other = copy.copy(self)
+        other.config = replace(self.config, phase_bits=phase_bits)
+        other._build_phases()
+        return other
+
+    @cached_property
+    def gather(self) -> np.ndarray:
+        """``apply_U_C``'s flat gather index a * 2^N + (z ^ flip_a), built on
+        first use."""
+        dim = 1 << self.h.n_qubits
         flat = np.arange(self.phases.size, dtype=np.min_scalar_type(self.phases.size))
-        self.gather = (flat.reshape(-1, dim) ^ self.flips[:, None].astype(flat.dtype)).ravel()
+        return (flat.reshape(-1, dim) ^ self.flips[:, None].astype(flat.dtype)).ravel()
 
     def tables(self, path: tuple[int, ...]):
         """(cum, phase0, phase1): one path's flip mask and phase pair."""
@@ -336,6 +390,14 @@ class SegmentOperators:
 
     def diagonal_phases(self) -> np.ndarray:
         return np.exp(-1j * self.plan.delta_t * self._energies)
+
+    def apply_V(self, x: np.ndarray) -> np.ndarray:
+        """V x = sum_f (c_f x)[z ^ f] on the system register."""
+        return np.sum(self._v_rows * x[self._v_index], axis=0)
+
+    def apply_V_dagger(self, x: np.ndarray) -> np.ndarray:
+        """V' x = sum_f conj(c_f) x[z ^ f] on the system register."""
+        return np.sum(self._v_dagger_rows * x[self._v_index], axis=0)
 
 
 def apply_U_C(
@@ -409,6 +471,31 @@ class SegmentDiagnostics:
     trace_residual: float | None = None
 
 
+def _segment_diagnostics(
+    ops: SegmentOperators,
+    sys_in: np.ndarray,
+    in_weight: float,
+    out: np.ndarray,
+    oracle: DenseOracle | None,
+) -> SegmentDiagnostics:
+    """Ancilla-zero weight of the output block and, when a dense oracle is
+    supplied, the trace distance between it and the ideal short-time
+    evolution of the (normalized) input."""
+    weight = float(np.linalg.norm(out)) ** 2
+    residual = None
+    if oracle is not None:
+        norm_in = np.linalg.norm(sys_in)
+        if norm_in > 0:
+            ideal = oracle.evolve(sys_in / norm_in, ops.plan.delta_t)
+            residual = _trace_distance_pure(out / norm_in, ideal)
+    return SegmentDiagnostics(
+        s=ops.s,
+        anc_zero_weight=weight,
+        discarded_weight=max(0.0, in_weight - weight),
+        trace_residual=residual,
+    )
+
+
 def oaa_segment(
     state: CompositeState,
     ops: SegmentOperators,
@@ -433,44 +520,57 @@ def oaa_segment(
     work = apply_reflection(work)
     work = apply_W(work, ops)
     work.amplitudes *= -1.0
-    weight = float(np.linalg.norm(work.block(0))) ** 2
-    residual = None
-    if oracle is not None:
-        norm_in = np.linalg.norm(sys_in)
-        if norm_in > 0:
-            ideal = oracle.evolve(sys_in / norm_in, ops.plan.delta_t)
-            residual = _trace_distance_pure(work.block(0) / norm_in, ideal)
-    diag = SegmentDiagnostics(
-        s=ops.s,
-        anc_zero_weight=weight,
-        discarded_weight=max(0.0, state.norm() ** 2 - weight),
-        trace_residual=residual,
-    )
-    return work, diag
+    return work, _segment_diagnostics(ops, sys_in, state.norm() ** 2, work.block(0), oracle)
 
 
-def evolve_lcu(
+def system_segment(
+    system: np.ndarray,
+    ops: SegmentOperators,
+    oracle: DenseOracle | None = None,
+) -> tuple[np.ndarray, SegmentDiagnostics]:
+    """``oaa_segment`` on the system register: the ancilla-zero block
+    3Vx - 4VV'Vx of A applied to x = e^{-i dt E} system, with the same
+    diagnostics, and no composite state."""
+    x = ops.diagonal_phases() * system
+    vx = ops.apply_V(x)
+    out = 3.0 * vx - 4.0 * ops.apply_V(ops.apply_V_dagger(vx))
+    in_weight = float(np.linalg.norm(system)) ** 2
+    return out, _segment_diagnostics(ops, system, in_weight, out, oracle)
+
+
+def _run_segments(
+    ops: SegmentOperators, state: np.ndarray, oracle: DenseOracle | None
+) -> tuple[np.ndarray, list[SegmentDiagnostics]]:
+    diags: list[SegmentDiagnostics] = []
+    sys = state
+    for _ in range(ops.plan.r):
+        sys, diag = system_segment(sys, ops, oracle)
+        diags.append(diag)
+        norm = np.linalg.norm(sys)
+        if norm == 0.0:
+            raise ArithmeticError("post-selection lost all amplitude")
+        sys = sys / norm
+    return _require_finite(sys), diags
+
+
+def _evolve_lcu_runs(
     h: PmrHamiltonian,
     g: GammaBounds,
     state: np.ndarray,
     t: float,
     epsilon: float,
-    config: LcuConfig | None = None,
+    config: LcuConfig,
     composite_budget: int = DEFAULT_COMPOSITE_BUDGET,
-) -> tuple[np.ndarray, list[SegmentDiagnostics]]:
-    """Run r amplified segments, post-selecting the ancilla-zero block.
-
-    Between segments the off-block amplitude is discarded (recorded in the
-    diagnostics) and the system re-normalized.  Diagonal-only plans evolve
-    exactly without ancillas.  For N <= 6 each segment also records its
-    trace residual against the dense oracle.  The r segments together may
-    touch at most ``series.DEFAULT_WORK_BUDGET`` composite amplitudes.
-    """
-    config = config or LcuConfig()
+    exact_too: bool = False,
+) -> tuple[np.ndarray, list[SegmentDiagnostics], np.ndarray | None]:
+    """``evolve_lcu``'s (output, diagnostics), and with ``exact_too`` the
+    output of the same run at exact phases.  Both runs take their phase rows
+    from one path-coefficient build."""
     state = np.asarray(state, dtype=complex)
     plan = plan_segments(h, g, t, epsilon)
     if plan.diagonal_only:
-        return apply_diagonal(h, state, t), []
+        out = apply_diagonal(h, state, t)
+        return out, [], out if exact_too else None
     composite_dim = AncillaLayout(plan.Q, h.m).anc_dim << h.n_qubits
     if composite_dim > composite_budget:
         raise CompositeBudgetError(
@@ -485,15 +585,35 @@ def evolve_lcu(
         )
     ops = SegmentOperators(h, g, plan, config)
     oracle = DenseOracle(h) if h.n_qubits <= 6 else None
-    diags: list[SegmentDiagnostics] = []
-    sys = state
-    for _ in range(plan.r):
-        comp = CompositeState.from_system(ops.layout, sys)
-        comp, diag = oaa_segment(comp, ops, oracle)
-        diags.append(diag)
-        sys = comp.block(0).copy()
-        norm = np.linalg.norm(sys)
-        if norm == 0.0:
-            raise ArithmeticError("post-selection lost all amplitude")
-        sys = sys / norm
-    return _require_finite(sys), diags
+    out, diags = _run_segments(ops, state, oracle)
+    exact = None
+    if exact_too:
+        exact, _ = _run_segments(ops._with_phase_bits(None), state, None)
+    return out, diags, exact
+
+
+def evolve_lcu(
+    h: PmrHamiltonian,
+    g: GammaBounds,
+    state: np.ndarray,
+    t: float,
+    epsilon: float,
+    config: LcuConfig | None = None,
+    composite_budget: int = DEFAULT_COMPOSITE_BUDGET,
+) -> tuple[np.ndarray, list[SegmentDiagnostics]]:
+    """Run r amplified segments, post-selecting the ancilla-zero block.
+
+    Each segment is ``system_segment``: 3V - 4VV'V on the system register,
+    which equals the ancilla-zero block of the composite ``oaa_segment``.
+    Between segments the discarded amplitude is recorded in the diagnostics
+    and the system re-normalized.  Diagonal-only plans evolve exactly
+    without ancillas.  For N <= 6 each segment also records its trace
+    residual against the dense oracle.  The composite dimension
+    anc_dim * 2^N, which the phase tables still hold, is priced against
+    ``composite_budget`` and, r times over, against
+    ``series.DEFAULT_WORK_BUDGET``.
+    """
+    out, diags, _ = _evolve_lcu_runs(
+        h, g, state, t, epsilon, config or LcuConfig(), composite_budget
+    )
+    return out, diags

@@ -1,5 +1,8 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,10 +17,22 @@ from pmrsim import (
     pauli_to_pmr,
     plan_segments,
 )
+from pmrsim import series
 from pmrsim.cli import main
 
 DATA = Path(__file__).parent / "data"
 SAMPLE = str(DATA / "sample4q.txt")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_fresh(argv):
+    """``pmrsim argv`` in a new interpreter, importing pmrsim from ``src/``."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "pmrsim.cli", *argv], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
 
 
 def read_csv(path):
@@ -183,7 +198,52 @@ def test_many_segments_exceed_budget_at_once(tmp_path, capsys, command, text, t)
     assert err.startswith("budget exceeded:") and err.count("\n") == 1
 
 
+def test_divdiff_overflow_prints_one_line():
+    # the Taylor reference's row mean overflows; numpy's warning on the way
+    # would only repeat the numerical-failure line
+    run = run_fresh(["divdiff", "1e308", "1e308", "--t", "1"])
+    assert run.returncode == 4
+    assert run.stderr.startswith("numerical failure:") and run.stderr.count("\n") == 1
+    assert "RuntimeWarning" not in run.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # main reuses one parser per process; no flag of one call may leak into
+    # the next, whatever the subcommand
+    runs = [
+        ["evolve", "--hamiltonian", SAMPLE, "--t", "0.5", "--epsilon", "1e-3", "--seed", "5",
+         "--format", "human", "--check"],
+        ["divdiff", "0", "0.3", "1", "--t", "1"],
+        ["evolve", "--hamiltonian", SAMPLE, "--t", "0.4", "--epsilon", "1e-2", "--seed", "6"],
+    ]
+    for argv in runs:
+        code = main(argv)
+        fresh = run_fresh(argv)
+        assert code == fresh.returncode == 0
+        assert capsys.readouterr().out == fresh.stdout
+
+
 class TestLcuCommand:
+    def test_phase_bits_build_path_coefficients_once(self, tmp_path, monkeypatch):
+        # the quantized run and its exact-phase comparison share one table,
+        # so each path level is one dd_exp batch
+        calls = []
+        dd_exp = series.dd_exp
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return dd_exp(*args, **kwargs)
+
+        monkeypatch.setattr(series, "dd_exp", counted)
+        assert main(
+            ["lcu", "--hamiltonian", SAMPLE, "--t", "0.9", "--epsilon", "1e-3",
+             "--phase-bits", "16", "--output", str(tmp_path / "q.csv")]
+        ) == 0
+        h = pauli_to_pmr(parse_hamiltonian_file(SAMPLE))
+        plan = plan_segments(h, gamma_bounds(h), 0.9, 1e-3)
+        assert len(calls) == plan.Q
+        assert read_csv(tmp_path / "q.csv")[-1]["quantization_error"] != ""
+
     @pytest.mark.parametrize("method", ["taylor", "pyramid", "leibniz"])
     def test_agrees_with_series_run(self, tmp_path, method):
         ev, lc = tmp_path / "ev.csv", tmp_path / "lc.csv"

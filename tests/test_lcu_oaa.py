@@ -19,6 +19,7 @@ from pmrsim import (
     plan_segments,
     uod_matrix,
 )
+from pmrsim import lcu
 from pmrsim.lcu import (
     AncillaLayout,
     CompositeBudgetError,
@@ -35,7 +36,9 @@ from pmrsim.lcu import (
     oaa_segment,
     prepare_psi0,
     psi0_unary_cascade,
+    system_segment,
 )
+from pmrsim.pmr import DiagonalOperator, PermutationOperator, PmrHamiltonian
 from pmrsim.series import LN2
 from test_offdiag_series import number_conserving_hamiltonian
 
@@ -477,6 +480,98 @@ class TestOaaSegment:
         comp = random_composite(rng, ops.layout, h.n_qubits)
         with pytest.raises(ValueError):
             oaa_segment(comp, ops)
+
+
+def with_zero_hopping(h):
+    """h plus a term whose diagonal is identically zero: ``_path_levels``
+    drops every path through it."""
+    used = set(h.x_masks().tolist())
+    free = next(m for m in range(1, 1 << h.n_qubits) if m not in used)
+    zero = (DiagonalOperator.zero(h.n_qubits), PermutationOperator(free))
+    return PmrHamiltonian(h.d0, (*h.terms, zero), h.n_qubits)
+
+
+def segment_cases():
+    """Random Hamiltonians on N = 1..3 qubits with M = 1..3 flip terms
+    (at most 2^N - 1) and times of both signs, one with an identically-zero
+    hopping, and one more at negative t."""
+    rng = np.random.default_rng(109)
+    cases = []
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            h = random_pmr_hamiltonian(rng, n=n, m_terms=m)
+            cases.append((h, (-1) ** (n + m) * 1.3))
+    cases.append((with_zero_hopping(random_pmr_hamiltonian(rng, n=3, m_terms=2)), 0.9))
+    cases.append((random_pmr_hamiltonian(rng, n=2, m_terms=2), -1.7))
+    for h, t in cases:
+        g = gamma_bounds(h)
+        yield rng, h, g, plan_segments(h, g, t / g.gamma_total, 1e-3)
+
+
+SEGMENT_CONFIGS = [LcuConfig(), LcuConfig(phase_bits=8), LcuConfig(s_override=2.0)]
+
+
+class TestSystemSegment:
+    """3V - 4VV'V on the system register against the composite circuit."""
+
+    @pytest.mark.parametrize("config", SEGMENT_CONFIGS, ids=["exact", "b8", "s2"])
+    def test_matches_composite_block(self, config):
+        dropped = False
+        for rng, h, g, plan in segment_cases():
+            ops = SegmentOperators(h, g, plan, config)
+            oracle = DenseOracle(h)
+            dropped |= not np.all(g.gamma)
+            psi = random_state(rng, h.n_qubits)
+            ref, ref_diag = oaa_segment(CompositeState.from_system(ops.layout, psi), ops, oracle)
+            out, diag = system_segment(psi, ops, oracle)
+            assert np.max(np.abs(out - ref.block(0))) <= 1e-12
+            assert diag.s == ref_diag.s
+            assert diag.anc_zero_weight == pytest.approx(ref_diag.anc_zero_weight, abs=1e-12)
+            assert diag.discarded_weight == pytest.approx(ref_diag.discarded_weight, abs=1e-12)
+            assert diag.trace_residual == pytest.approx(ref_diag.trace_residual, abs=1e-12)
+        assert dropped
+
+    def test_evolve_lcu_matches_composite_run(self):
+        # r segments with re-normalization, against the same loop through oaa_segment
+        for rng, h, g, plan in segment_cases():
+            psi = random_state(rng, h.n_qubits)
+            out, diags = evolve_lcu(h, g, psi, plan.t_total, 1e-3)
+            ops, oracle, sys = SegmentOperators(h, g, plan), DenseOracle(h), psi
+            for diag in diags:
+                comp, ref = oaa_segment(CompositeState.from_system(ops.layout, sys), ops, oracle)
+                sys = comp.block(0) / np.linalg.norm(comp.block(0))
+                assert diag.anc_zero_weight == pytest.approx(ref.anc_zero_weight, abs=1e-12)
+                assert diag.trace_residual == pytest.approx(ref.trace_residual, abs=1e-12)
+            assert len(diags) == plan.r
+            assert np.max(np.abs(out - sys)) <= 1e-12
+
+    def test_evolve_lcu_runs_off_the_composite(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve_lcu went through the composite emulator")
+
+        monkeypatch.setattr(lcu, "apply_B", refuse)
+        monkeypatch.setattr(lcu, "apply_U_C", refuse)
+        rng = np.random.default_rng(113)
+        h = random_pmr_hamiltonian(rng, n=3, m_terms=3)
+        g = gamma_bounds(h)
+        psi = random_state(rng, 3)
+        for config in SEGMENT_CONFIGS:
+            out, diags = evolve_lcu(h, g, psi, 1.1, 1e-4, config)
+            assert diags and np.linalg.norm(out) == pytest.approx(1.0)
+
+    def test_phase_precision_rebuild_matches_fresh_build(self):
+        # phase rows and V rebuilt from one path-coefficient table equal a
+        # fresh build at that precision
+        for _, h, g, plan in segment_cases():
+            ops = SegmentOperators(h, g, plan, LcuConfig(phase_bits=8))
+            for bits in (None, 16):
+                fresh = SegmentOperators(h, g, plan, LcuConfig(phase_bits=bits))
+                other = ops._with_phase_bits(bits)
+                assert other.config == fresh.config
+                assert np.array_equal(other.phases, fresh.phases)
+                assert np.array_equal(other._v_rows, fresh._v_rows)
+                assert np.array_equal(other.gather, fresh.gather)
+            assert ops.config.phase_bits == 8
 
 
 class TestEvolveLcu:
