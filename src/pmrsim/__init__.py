@@ -9,6 +9,7 @@ standard physical models.
 """
 
 from .divdiff import (
+    CancellationError,
     DdConfig,
     RepeatedInputsError,
     SeriesConvergenceError,

@@ -8,8 +8,10 @@ same fields); identical seeded invocations produce byte-identical output.
 Timing goes to stderr so it never perturbs the artifacts.
 
 Exit codes: 0 success, 2 input error, 3 work/memory budget exceeded,
-4 numerical failure: a series result that is not finite (inf or NaN), or
-an error above tolerance with --check.
+4 numerical failure: a series result that is not finite (inf or NaN), a
+naive or pyramid divided difference above its |t|^q/q! bound or exactly
+zero, or an error above tolerance with --check.  ``divdiff`` prints n/a
+for a method that cannot evaluate its inputs.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ import time
 import numpy as np
 
 from .divdiff import (
+    CancellationError,
     DdConfig,
     RepeatedInputsError,
     SeriesConvergenceError,
+    ZeroDividedDifferenceError,
     auto_doubling_depth,
     dd_exp_leibniz,
     dd_exp_naive,
@@ -194,6 +198,15 @@ def cmd_lcu(args) -> int:
     return 0
 
 
+def _evaluated(fn, values: list[float], t: float) -> complex | None:
+    """fn(values, t), or None where the method cannot evaluate the inputs:
+    they repeat, or cancellation pushed the value past its bound."""
+    try:
+        return fn(values, t)
+    except (RepeatedInputsError, CancellationError, ZeroDividedDifferenceError):
+        return None
+
+
 def cmd_divdiff(args) -> int:
     values = [float(v) for v in args.inputs]
     t = args.t
@@ -203,11 +216,8 @@ def cmd_divdiff(args) -> int:
     with _quiet_overflow():
         reference = dd_exp_taylor(values, t)
         results: list[tuple[str, complex | None]] = [("taylor", reference)]
-        try:
-            results.append(("naive", dd_exp_naive(values, t)))
-        except RepeatedInputsError:
-            results.append(("naive", None))
-        results.append(("pyramid", dd_exp_pyramid(values, t) if t != 0 else None))
+        results.append(("naive", _evaluated(dd_exp_naive, values, t)))
+        results.append(("pyramid", _evaluated(dd_exp_pyramid, values, t) if t != 0 else None))
         results.append(("leibniz", dd_exp_leibniz(values, t)))
         header = ["quantity", "value_re", "value_im", "abs_dev_vs_taylor"]
         rows = []
@@ -410,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except (WorkBudgetExceededError, CompositeBudgetError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except SeriesConvergenceError as exc:
+    except (SeriesConvergenceError, CancellationError, ZeroDividedDifferenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:

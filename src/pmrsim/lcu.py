@@ -26,9 +26,11 @@ Everything is plain state-vector arithmetic, and no operator is
 materialized densely.  Each SegmentOperators builds its path coefficients
 level by level from the path enumerator it shares with ``series``
 (``series._path_levels``); a path that is zero at every source is not
-evaluated and gets beta = 0.  It keeps one phase row and flip mask per
-ancilla index, and the phase rows at another phase precision can be rebuilt
-from the same coefficients.
+evaluated and gets beta = 0.  It keeps one flip mask per ancilla index
+and V's rows at its phase precision, which at another precision can be
+rebuilt from the same coefficients.  With exact phases V's rows come
+straight from beta; a phase row per ancilla index is built for quantized
+phases and for the composite reference.
 """
 
 from __future__ import annotations
@@ -332,7 +334,8 @@ class SegmentOperators:
     mask and phase row e^{i theta_k(z)}; and the F rows of V = <0|W|0> on the
     system register.  The paths of ``_path_betas`` come in
     ``AncillaLayout.paths()`` order, so row a is the path of rank a >> 1 with
-    k = a & 1.
+    k = a & 1.  The phase rows are built on first use: with exact phases V
+    does not need them.
     """
 
     def __init__(
@@ -351,17 +354,30 @@ class SegmentOperators:
         self._energies = h.diagonal_values()
         cum, self._beta = _path_betas(h, self.gam, plan, self.config.dd, [range(h.m)] * plan.Q)
         self.flips = np.repeat(cum, 2)
-        self._build_phases()
+        self._build_v()
 
-    def _build_phases(self) -> None:
-        """Phase rows from the path coefficients at ``config.phase_bits``,
-        and V's rows c_f(z) = sum_{a: flip_a = f} psi0_a^2 e^{i theta_a(z)}."""
-        dim = 1 << self.h.n_qubits
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """Phase rows e^{i theta_a(z)}, one per ancilla index, from the path
+        coefficients at ``config.phase_bits``."""
         ph0, ph1 = _phase_pair(self._beta, self.config.phase_bits)
-        self.phases = np.stack((ph0, ph1), axis=1).reshape(-1, dim)
-        masks, group = np.unique(self.flips, return_inverse=True)
+        return np.stack((ph0, ph1), axis=1).reshape(len(self.flips), -1)
+
+    def _build_v(self) -> None:
+        """V's rows c_f(z) = sum_{a: flip_a = f} psi0_a^2 e^{i theta_a(z)}.
+
+        With exact phases a path's pair sums to e^{i(chi + phi)} +
+        e^{i(chi - phi)} = 2 cos(phi) e^{i chi} = 2 min(|beta|, 1) e^{i chi},
+        which is beta / max(|beta|, 1): V then needs no phase row."""
+        dim = 1 << self.h.n_qubits
+        if self.config.phase_bits is None:
+            flips, weight = self.flips[::2], 2.0 * self.psi0[::2] ** 2
+            terms = self._beta / np.maximum(np.abs(self._beta), 1.0)
+        else:
+            flips, weight, terms = self.flips, self.psi0 ** 2, self.phases
+        masks, group = np.unique(flips, return_inverse=True)
         rows = np.zeros((len(masks), dim), dtype=complex)
-        np.add.at(rows, group, (self.psi0 ** 2)[:, None] * self.phases)
+        np.add.at(rows, group, weight[:, None] * terms)
         index_type = np.min_scalar_type(dim - 1)
         self._v_index = np.arange(dim, dtype=index_type) ^ masks[:, None].astype(index_type)
         self._v_rows = np.take_along_axis(rows, self._v_index, axis=1)  # c_f(z ^ f)
@@ -369,10 +385,12 @@ class SegmentOperators:
 
     def _with_phase_bits(self, phase_bits: int | None) -> "SegmentOperators":
         """These operators at another phase precision, from the same path
-        coefficients (no path is evaluated again)."""
+        coefficients (no path is evaluated again); phase rows cached at this
+        precision are not carried over."""
         other = copy.copy(self)
+        other.__dict__.pop("phases", None)
         other.config = replace(self.config, phase_bits=phase_bits)
-        other._build_phases()
+        other._build_v()
         return other
 
     @cached_property
@@ -380,7 +398,8 @@ class SegmentOperators:
         """``apply_U_C``'s flat gather index a * 2^N + (z ^ flip_a), built on
         first use."""
         dim = 1 << self.h.n_qubits
-        flat = np.arange(self.phases.size, dtype=np.min_scalar_type(self.phases.size))
+        size = len(self.flips) * dim
+        flat = np.arange(size, dtype=np.min_scalar_type(size))
         return (flat.reshape(-1, dim) ^ self.flips[:, None].astype(flat.dtype)).ravel()
 
     def tables(self, path: tuple[int, ...]):
@@ -564,24 +583,28 @@ def _evolve_lcu_runs(
     exact_too: bool = False,
 ) -> tuple[np.ndarray, list[SegmentDiagnostics], np.ndarray | None]:
     """``evolve_lcu``'s (output, diagnostics), and with ``exact_too`` the
-    output of the same run at exact phases.  Both runs take their phase rows
-    from one path-coefficient build."""
+    output of the same run at exact phases.  Both runs take V's rows from
+    one path-coefficient build."""
     state = np.asarray(state, dtype=complex)
     plan = plan_segments(h, g, t, epsilon)
     if plan.diagonal_only:
         out = apply_diagonal(h, state, t)
         return out, [], out if exact_too else None
-    composite_dim = AncillaLayout(plan.Q, h.m).anc_dim << h.n_qubits
+    anc_dim = AncillaLayout(plan.Q, h.m).anc_dim
+    composite_dim = anc_dim << h.n_qubits
     if composite_dim > composite_budget:
         raise CompositeBudgetError(
             f"composite dimension 2 * sum_{{q<=Q}} M^q * 2^N = "
             f"2 * sum_{{q<={plan.Q}}} {h.m}^q * 2^{h.n_qubits} = {composite_dim} "
             f"exceeds budget {composite_budget}"
         )
-    if plan.r * composite_dim > DEFAULT_WORK_BUDGET:
+    # a segment touches the F <= min(anc_dim / 2, 2^N) rows of V three times
+    rows = min(anc_dim // 2, 1 << h.n_qubits)
+    work = plan.r * 3 * rows << h.n_qubits
+    if work > DEFAULT_WORK_BUDGET:
         raise WorkBudgetExceededError(
-            plan.r * composite_dim, DEFAULT_WORK_BUDGET,
-            f"{plan.r} * {composite_dim}", "r * composite dimension",
+            work, DEFAULT_WORK_BUDGET, f"{plan.r} * 3 * {rows} * 2^{h.n_qubits}",
+            "r * 3 * min(anc_dim/2, 2^N) * 2^N",
         )
     ops = SegmentOperators(h, g, plan, config)
     oracle = DenseOracle(h) if h.n_qubits <= 6 else None
@@ -609,9 +632,10 @@ def evolve_lcu(
     and the system re-normalized.  Diagonal-only plans evolve exactly
     without ancillas.  For N <= 6 each segment also records its trace
     residual against the dense oracle.  The composite dimension
-    anc_dim * 2^N, which the phase tables still hold, is priced against
-    ``composite_budget`` and, r times over, against
-    ``series.DEFAULT_WORK_BUDGET``.
+    anc_dim * 2^N, the size of the phase rows and twice that of the path
+    coefficients, is priced against ``composite_budget``.  The segments are
+    priced at what they touch, r * 3 * min(anc_dim/2, 2^N) * 2^N entries of
+    V's rows, against ``series.DEFAULT_WORK_BUDGET``.
     """
     out, diags, _ = _evolve_lcu_runs(
         h, g, state, t, epsilon, config or LcuConfig(), composite_budget

@@ -15,9 +15,11 @@ prices the work and picks one of two engines by method:
   that profile linearly in the new state's energy.  With every energy
   shifted by one constant (divided differences are shift-covariant), all
   paths that end at the same state after q flips share one summed profile,
-  so a level is a gather over the M terms on the states R reachable from
-  the block: O(Q * M * |R| * n_max) work instead of O(M^Q * 2^N * n_max).
-  The coefficients, the extension step and the degree n_max come from the
+  so a level is one stacked gather over the terms that hop inside the set
+  R of states reachable from the block, and one product that deposits all
+  degrees: O(Q * M * |R| * n_max) work instead of O(M^Q * 2^N * n_max),
+  in a number of numpy calls that does not grow with M.  The
+  coefficients, the extension step and the degree n_max come from the
   Taylor kernel in ``divdiff``.
 * naive, pyramid, leibniz: nonlinear in the path, so ``_uod_paths``
   enumerates every path.  It is also the recursion's small-N reference.
@@ -34,6 +36,7 @@ time that fixed the segment count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +49,6 @@ from .divdiff import (
     _add_input,
     _taylor_row,
     dd_exp,
-    exp_prefactor,
     series_order,
 )
 from .pmr import GammaBounds, PmrHamiltonian, diagonal_energy, hopping_strength
@@ -85,8 +87,12 @@ class WorkBudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+@functools.lru_cache(maxsize=1024)
 def series_tail(order: int, x: float = LN2) -> float:
-    """Upper bound on sum_{q > order} x^q / q! with a geometric remainder cap."""
+    """Upper bound on sum_{q > order} x^q / q! with a geometric remainder cap.
+
+    A pure function of (order, x), memoized: ``truncation_order`` asks for
+    every order up to Q on each plan."""
     if x == 0.0:
         return 0.0
     term = 1.0
@@ -392,10 +398,13 @@ class _Recursion:
 
     R holds the support states and every state reachable from them within
     ``flips`` flips whose hopping value d_i at the post-flip state is
-    nonzero.  Energies are shifted by c, the midpoint of E over R, so
-    |y| = |E - c| is at most half their spread there.  ``gathers`` holds one
-    (source position, d_i at R) pair per term that hops inside R; position
-    len(R) points at a zero row.  ``pref`` is the Taylor kernel's table
+    nonzero.  The set-up fills two (M, 2^N) tables, the flip index z ^ mask_i
+    and whether d_i(z) is nonzero, and grows R by one pass over both per
+    flip.  Energies are shifted by c, the midpoint of E over R, so
+    |y| = |E - c| is at most half their spread there.  The G terms that hop
+    inside R, ``terms``, keep in ascending order their source positions
+    ``src_pos`` (G, |R|) and values d_i at R ``coef`` (G, |R|, 1); position
+    |R| points at a zero row.  ``pref`` is the Taylor kernel's table
     c[q, n] = (-i dt)^{q+n}/(q+n)! up to the degree ``series_order`` picks
     for the shifted energies.
     """
@@ -405,27 +414,28 @@ class _Recursion:
     ):
         dim = 1 << h.n_qubits
         states = np.arange(dim)
-        hops = [
-            (states ^ int(mask), h.term_values(i))
-            for i, mask in enumerate(h.x_masks())
-        ]
+        src = np.empty((h.m, dim), dtype=np.intp)
+        hop = np.empty((h.m, dim), dtype=bool)
+        for i, mask in enumerate(h.x_masks().tolist()):
+            np.bitwise_xor(states, mask, out=src[i])
+            np.not_equal(h.term_values(i), 0, out=hop[i])
         reach = support.copy()
         for _ in range(flips):
-            grown = reach.copy()
-            for src, d in hops:
-                grown |= reach[src] & (d != 0)
+            grown = reach | np.any(np.take(reach, src) & hop, axis=0)
             if np.array_equal(grown, reach):
                 break
             reach = grown
         self.rows = np.flatnonzero(reach)
-        pos = np.full(dim, len(self.rows))
-        pos[self.rows] = np.arange(len(self.rows))
-        self.gathers = []
-        for src, d in hops:
-            src_pos = pos[src[self.rows]]
-            coef = np.where(src_pos < len(self.rows), d[self.rows], 0.0)
-            if np.any(coef != 0):
-                self.gathers.append((src_pos, coef[:, None]))
+        n_rows = len(self.rows)
+        pos = np.full(dim, n_rows)
+        pos[self.rows] = np.arange(n_rows)
+        src_pos = pos[src[:, self.rows]]
+        inside = src_pos < n_rows
+        self.terms = np.flatnonzero(np.any(inside & hop[:, self.rows], axis=1))
+        self.src_pos = src_pos[self.terms]
+        self.coef = np.empty((len(self.terms), n_rows, 1), dtype=complex)
+        for j, i in enumerate(self.terms.tolist()):
+            self.coef[j, :, 0] = np.where(inside[i], h.term_values(i)[self.rows], 0.0)
 
         energies = h.diagonal_values()[self.rows]
         lo, hi = (energies.min(), energies.max()) if len(energies) else (0.0, 0.0)
@@ -435,8 +445,8 @@ class _Recursion:
         dt = plan.delta_t
         amp = abs(dt) * (hi - lo) / 2
         n_max = series_order(amp, SERIES_TOL) if amp > 0.0 else 0
-        self.pref = np.array([_taylor_row(exp_prefactor(q, dt), q, n_max, dt)
-                              for q in range(plan.Q + 1)])
+        coeffs = _taylor_row(1.0, 0, plan.Q + n_max, dt)  # (-i dt)^j / j!
+        self.pref = coeffs[np.add.outer(np.arange(plan.Q + 1), np.arange(n_max + 1))]
 
     def sweep(self, out: np.ndarray, start: np.ndarray) -> None:
         """Add the flip-path sums for q = 1..Q to ``out`` (|R|, k) in place.
@@ -445,22 +455,36 @@ class _Recursion:
         start[z] * e^{-i dt [y_z, y_{z_1}, ..., y_{z_q}]} * prod_j d_{i_j}.
         Every path ending at the same state after q flips shares one profile
         P[n] = sum of weight * prod d * h_n(y along the path), so one flip
-        is a gather over terms followed by the kernel's input-addition step
-        with the new state's y.
+        is one stacked gather ``prof[:, src_pos]`` times ``coef``, summed over
+        the term axis in ascending term order, followed by the kernel's
+        input-addition step with the new state's y; the level then deposits
+        as one product pref[q] @ level.  The gather's temporary holds
+        n_deg * G * |R| * k entries, so terms go in groups of at most
+        ``_EVAL_CHUNK_ROWS`` entries (at least one term per group); each
+        group's sum starts from the running level, so the grouping does not
+        change a bit of the result.
         """
         n_deg = self.pref.shape[1]
         n_rows, k = out.shape
+        n_terms = len(self.src_pos)
+        if n_terms == 0:
+            return
+        step = max(1, _EVAL_CHUNK_ROWS // max(1, n_deg * n_rows * k))
         prof = np.zeros((n_deg, n_rows + 1, k), dtype=complex)
+        nxt = np.zeros_like(prof)  # row |R| of both stays zero
         prof[0, :n_rows] = start
         _add_input(prof[:, :n_rows], self.y)
         for q in range(1, self.pref.shape[0]):
-            level = np.zeros((n_deg, n_rows, k), dtype=complex)
-            for src_pos, coef in self.gathers:
-                level += coef * prof[:, src_pos]
+            level = nxt[:, :n_rows]
+            for lo in range(0, n_terms, step):
+                part = prof[:, self.src_pos[lo:lo + step]]
+                part *= self.coef[lo:lo + step]
+                if lo:
+                    part[:, 0] += level
+                part.sum(axis=1, out=level)
             _add_input(level, self.y)
-            for n in range(n_deg):
-                out += self.pref[q, n] * level[n]
-            prof[:, :n_rows] = level
+            out += (self.pref[q] @ level.reshape(n_deg, -1)).reshape(n_rows, k)
+            prof, nxt = nxt, prof
 
 
 def _apply_recursion(

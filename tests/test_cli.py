@@ -198,6 +198,42 @@ def test_many_segments_exceed_budget_at_once(tmp_path, capsys, command, text, t)
     assert err.startswith("budget exceeded:") and err.count("\n") == 1
 
 
+def test_lcu_priced_on_touched_entries(tmp_path):
+    # 3,102 segments touch 3 * 16 * 2^4 entries of V each; priced at the
+    # composite's anc_dim * 2^N = 2.8M entries a segment, the run was refused
+    out = tmp_path / "lcu.csv"
+    assert main(
+        ["lcu", "--hamiltonian", SAMPLE, "--t", "1000", "--epsilon", "1e-3", "--check",
+         "--output", str(out)]
+    ) == 0
+    assert read_csv(out)[-1]["r"] == "3102"
+
+
+# two qubits: at eps = 1e-10 (Q = 11) a pyramid path value is 12 times its
+# |t|^q/q! bound, and a naive path that flips one term twice repeats an input
+TWO_QUBITS = (
+    "0.07582687581070702 ZI\n0.4378213075354018 ZZ\n"
+    "-0.41634519367586553 XZ\n0.3831338198821481 XX\n"
+)
+
+
+@pytest.mark.parametrize("command", ["evolve", "lcu"])
+@pytest.mark.parametrize(
+    "method, code, prefix",
+    [("naive", 2, "input error:"), ("pyramid", 4, "numerical failure:")],
+)
+def test_path_methods_fail_in_one_line(tmp_path, capsys, command, method, code, prefix):
+    path = tmp_path / "h.txt"
+    path.write_text(TWO_QUBITS)
+    argv = [command, "--hamiltonian", str(path), "--t", "0.9", "--epsilon", "1e-10",
+            "--dd-method", method]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    if method == "pyramid":
+        assert "cancellation" in err
+
+
 def test_divdiff_overflow_prints_one_line():
     # the Taylor reference's row mean overflows; numpy's warning on the way
     # would only repeat the numerical-failure line
@@ -305,6 +341,21 @@ class TestLcuCommand:
 
 
 class TestDivdiffCommand:
+    def test_values_above_bound_print_na(self, tmp_path):
+        # 51 inputs 0.02 apart: the defining sum and the pyramid lose the
+        # value to cancellation (2.6e16 and 8.4e12 against a 3.3e-65 bound)
+        out = tmp_path / "dd.csv"
+        vals = [repr(v) for v in np.linspace(0.0, 1.0, 51).tolist()]
+        assert main(["divdiff", *vals, "--t", "1", "--output", str(out)]) == 0
+        rows = {r["quantity"]: r for r in read_csv(out)}
+        for method in ("naive", "pyramid"):
+            assert rows[method]["value_re"] == rows[method]["abs_dev_vs_taylor"] == "n/a"
+        bound = float(rows["magnitude_bound"]["value_re"])
+        for method in ("taylor", "leibniz"):
+            val = complex(float(rows[method]["value_re"]), float(rows[method]["value_im"]))
+            assert abs(val) <= bound
+
+
     def test_triple_zero_matches_derivative_form(self, tmp_path):
         out = tmp_path / "dd.csv"
         assert main(["divdiff", "0", "0", "0", "--t", "1.0", "--output", str(out)]) == 0

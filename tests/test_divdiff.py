@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pmrsim.divdiff import (
+    CancellationError,
     DdConfig,
     RepeatedInputsError,
     ZeroDividedDifferenceError,
@@ -297,7 +298,26 @@ class TestSharedProperties:
             with pytest.raises(ValueError):
                 fn([], t)
 
+    def test_values_above_bound_raise(self):
+        # |e^{-it[x_0..x_q]}| <= |t|^q/q!; 51 inputs 0.02 apart at t = 1 lose
+        # the defining sum and the pyramid to cancellation, far past the bound
+        x = np.linspace(0.0, 1.0, 51)
+        for fn in (dd_exp_naive, dd_exp_pyramid, effective_energy_pyramid):
+            with pytest.raises(CancellationError, match="cancellation"):
+                fn(x, 1.0)
+        assert abs(dd_exp_leibniz(x, 1.0)) <= abs(exp_prefactor(50, 1.0))
+
     def test_batch_matches_rows(self):
+        refused = {"naive": 0, "pyramid": 0}
+
+        def accepted(row, t, cfg):
+            try:
+                dd_exp(row, t, cfg)
+            except CancellationError:
+                refused[cfg.method] += 1
+                return False
+            return True
+
         # one call over a batch against one call per row: naive and pyramid
         # bitwise, leibniz to rounding; at q = 10, 300 rows of 11 x 11 tables
         # fill three chunks of dd_exp's 2^14 entries
@@ -317,6 +337,14 @@ class TestSharedProperties:
                      ("taylor", repeated))
             for method, seqs in cases:
                 cfg = DdConfig(method=method)
+                if method in ("naive", "pyramid"):
+                    # rows whose value breaks the |t|^q/q! bound raise alone
+                    # and in a batch; the others batch bitwise
+                    kept = [row for row in seqs if accepted(row, t, cfg)]
+                    if len(kept) < len(seqs):
+                        with pytest.raises(CancellationError):
+                            dd_exp(seqs, t, cfg)
+                    seqs = np.array(kept).reshape(-1, q + 1)
                 batch = dd_exp(seqs, t, cfg)
                 single = np.array([dd_exp(row, t, cfg) for row in seqs])
                 if method == "leibniz":
@@ -328,6 +356,7 @@ class TestSharedProperties:
                 else:
                     assert np.array_equal(batch, single)
         assert len(np.unique(auto_doubling_depth(repeated, t))) > 1
+        assert refused["naive"] and refused["pyramid"]
 
     def test_prefactor_helper(self):
         assert exp_prefactor(3, 0.5) == pytest.approx((-0.5j) ** 3 / 6)

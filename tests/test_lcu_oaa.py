@@ -574,6 +574,39 @@ class TestSystemSegment:
             assert ops.config.phase_bits == 8
 
 
+    def test_rebuild_drops_cached_phases(self):
+        # phase rows cached at one precision are not carried to the other
+        for _, h, g, plan in segment_cases():
+            exact = SegmentOperators(h, g, plan)
+            exact.tables(())  # builds and caches the exact phase rows
+            quantized = exact._with_phase_bits(16)
+            fresh = SegmentOperators(h, g, plan, LcuConfig(phase_bits=16))
+            assert np.array_equal(quantized.phases, fresh.phases)
+            assert np.array_equal(quantized._v_rows, fresh._v_rows)
+            back, fresh = quantized._with_phase_bits(None), SegmentOperators(h, g, plan)
+            for name in ("phases", "_v_rows", "_v_dagger_rows"):
+                assert np.array_equal(getattr(back, name), getattr(fresh, name))
+
+    def test_exact_v_needs_no_phase_rows(self, monkeypatch):
+        # with exact phases V's rows come from beta; apply_U_C still gets the
+        # phase rows, built on first use
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact V went through the phase rows")
+
+        rng = np.random.default_rng(117)
+        h = random_pmr_hamiltonian(rng, n=3, m_terms=3)
+        g = gamma_bounds(h)
+        plan = plan_segments(h, g, 1.1, 1e-4)
+        psi = random_state(rng, 3)
+        with monkeypatch.context() as m:
+            m.setattr(lcu, "_phase_pair", refuse)
+            ops = SegmentOperators(h, g, plan)
+            out, _ = system_segment(psi, ops)
+        assert "phases" not in vars(ops)
+        ref, _ = oaa_segment(CompositeState.from_system(ops.layout, psi), ops)
+        assert np.max(np.abs(out - ref.block(0))) <= 1e-12
+
+
 class TestEvolveLcu:
     def test_zero_time_identity(self):
         rng = np.random.default_rng(59)

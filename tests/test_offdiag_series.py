@@ -30,6 +30,8 @@ from pmrsim import (
     uod_matrix,
 )
 from pmrsim import series
+from pmrsim.divdiff import _add_input
+from pmrsim.pmr import DiagonalOperator, PermutationOperator, PmrHamiltonian, hopping_strength
 from pmrsim.series import DEFAULT_WORK_BUDGET, LN2, _apply_recursion, _uod_paths
 
 LADDER = pauli_to_pmr(parse_hamiltonian("1.0 Z\n1.0 X\n"))
@@ -542,10 +544,141 @@ class TestRecursionVsReference:
             evolve(h, g, psi, 4.0, 1e-6, DdConfig(method="leibniz"))
 
 
+def reachable_states(h, support, flips):
+    """R from its definition, in plain Python: the support and every state
+    w = z ^ mask_i, z already in R, with d_i(w) != 0, within ``flips`` flips."""
+    reach = set(support)
+    for _ in range(flips):
+        reach |= {
+            z ^ int(mask)
+            for z in reach
+            for i, mask in enumerate(h.x_masks())
+            if hopping_strength(h, i, z ^ int(mask)) != 0
+        }
+    return sorted(reach)
+
+
+def with_term_zero_on_sector(h, n):
+    """``h`` plus a flip of every qubit whose d is nonzero only at the basis
+    states 0 and 2^n - 1, so it vanishes on every sector with 1..n-1 set
+    bits; the number-conserving hoppings flip two qubits each."""
+    full = (1 << n) - 1
+    proj = [(1.0 / (1 << n), m) for m in range(1 << n) if bin(m).count("1") % 2 == 0]
+    return PmrHamiltonian(h.d0, h.terms + ((DiagonalOperator(proj, n), PermutationOperator(full)),), n)
+
+
+def stacked_sweep_reference(h, rec, start):
+    """``_Recursion.sweep`` as one gather per term in ascending term order,
+    with the same deposit product: the stacked sweep must equal it bitwise."""
+    n_rows = len(rec.rows)
+    pos = np.full(1 << h.n_qubits, n_rows)
+    pos[rec.rows] = np.arange(n_rows)
+    terms = []
+    for i, mask in enumerate(h.x_masks()):
+        src_pos = pos[rec.rows ^ mask]
+        coef = np.where(src_pos < n_rows, h.term_values(i)[rec.rows], 0.0)[:, None]
+        if np.any(coef != 0):
+            terms.append((src_pos, coef))
+    n_deg = rec.pref.shape[1]
+    out = np.zeros((n_rows, start.shape[1]), dtype=complex)
+    prof = np.zeros((n_deg, n_rows + 1, start.shape[1]), dtype=complex)
+    prof[0, :n_rows] = start
+    _add_input(prof[:, :n_rows], rec.y)
+    for q in range(1, rec.pref.shape[0]):
+        level = np.zeros((n_deg, n_rows, start.shape[1]), dtype=complex)
+        for src_pos, coef in terms:
+            level += coef * prof[:, src_pos]
+        _add_input(level, rec.y)
+        out += (rec.pref[q] @ level.reshape(n_deg, -1)).reshape(out.shape)
+        prof[:, :n_rows] = level
+    return out
+
+
+def mask_of(n, *states):
+    """Boolean support over the 2^n basis states."""
+    mask = np.zeros(1 << n, dtype=bool)
+    mask[list(states)] = True
+    return mask
+
+
+class TestStackedRecursion:
+    """The set-up tables and the stacked gather of the taylor recursion."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_reachable_set_from_definition(self, n):
+        rng = np.random.default_rng(700 + n)
+        hams = [number_conserving_hamiltonian(rng, n), random_pmr_hamiltonian(rng, n=n, m_terms=4)]
+        hams.append(with_term_zero_on_sector(number_conserving_hamiltonian(rng, n), n))
+        for h in hams:
+            g = gamma_bounds(h)
+            plan = plan_segments(h, g, 0.9, 1e-4)
+            for support in ([0b111], [0b1011, 0b10101 & ((1 << n) - 1)], [0, 1]):
+                for flips in (0, 1, 2, plan.Q, 4 * plan.Q):
+                    rec = series._Recursion(h, plan, mask_of(n, *support), flips)
+                    assert rec.rows.tolist() == reachable_states(h, support, flips)
+        # the extra term of the last Hamiltonian is zero on the three-particle
+        # sector: R stays in it, and the term gets no gather
+        h = hams[-1]
+        plan = plan_segments(h, gamma_bounds(h), 0.9, 1e-4)
+        rec = series._Recursion(h, plan, mask_of(n, 0b111), 4 * plan.Q)
+        assert h.m - 1 not in rec.terms and len(rec.src_pos) == len(rec.terms)
+        assert all(bin(z).count("1") == 3 for z in rec.rows.tolist())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_sweep_equals_per_term_loop(self, seed):
+        rng = np.random.default_rng(800 + seed)
+        n = 4 + seed
+        for h in (random_pmr_hamiltonian(rng, n=n, m_terms=5), number_conserving_hamiltonian(rng, n)):
+            plan = plan_segments(h, gamma_bounds(h), -1.1, 1e-7)
+            block = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+            block[rng.random(1 << n) < 0.5] = 0.0
+            rec = series._Recursion(h, plan, np.any(block != 0, axis=1), plan.Q)
+            start = np.exp(1j * plan.delta_t * rec.y) * block[rec.rows]
+            out = np.zeros_like(start)
+            rec.sweep(out, start)
+            assert np.array_equal(out, stacked_sweep_reference(h, rec, start))
+
+    def test_term_groups_do_not_change_a_bit(self, monkeypatch):
+        # a gather cap of one entry puts each term in its own group, and a cap
+        # of three terms' entries makes groups of three with a short last one
+        rng = np.random.default_rng(900)
+        n = 5
+        h = number_conserving_hamiltonian(rng, n)
+        g = gamma_bounds(h)
+        plan = plan_segments(h, g, 0.8, 1e-8)
+        block = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+        block[rng.random((1 << n, 3)) < 0.3] = 0.0
+        block[[0, 5, (1 << n) - 1]] = 0.0
+        psi = random_state(rng, n)
+        cfg = DdConfig()
+        one_group = _apply_recursion(h, plan, block, cfg)
+        evolved = evolve(h, g, psi, 2.5, 1e-8)
+        rec = series._Recursion(h, plan, np.any(block != 0, axis=1), plan.Q)
+        assert len(rec.src_pos) > 3 and len(rec.src_pos) % 3
+        three = 3 * rec.pref.shape[1] * len(rec.rows) * 3
+        for cap in (1, three):
+            with monkeypatch.context() as m:
+                m.setattr(series, "_EVAL_CHUNK_ROWS", cap)
+                assert np.array_equal(_apply_recursion(h, plan, block, cfg), one_group)
+                if cap == 1:
+                    assert np.array_equal(evolve(h, g, psi, 2.5, 1e-8), evolved)
+
+    def test_plan_unchanged_by_memoized_tail(self):
+        # plan_segments reads series_tail through its cache; the uncached
+        # function gives the same Q and tail bound, bit for bit
+        h = random_pmr_hamiltonian(np.random.default_rng(950), n=3)
+        g = gamma_bounds(h)
+        tail = series_tail.__wrapped__
+        for t, eps in ((0.7, 1e-3), (5.0, 1e-9), (-40.0, 1e-12)):
+            plan = plan_segments(h, g, t, eps)
+            assert tail(plan.Q) <= eps / plan.r < tail(plan.Q - 1)
+            assert plan.tail_bound == tail(plan.Q)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 6),
+    n=st.integers(1, 8),
     m_terms=st.integers(0, 4),
     T=st.floats(0.05, 6.0),
     sign=st.sampled_from([1.0, -1.0]),
