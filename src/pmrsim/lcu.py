@@ -25,12 +25,14 @@ system-register segment is checked against; no run goes through it.
 Everything is plain state-vector arithmetic, and no operator is
 materialized densely.  Each SegmentOperators builds its path coefficients
 level by level from the path enumerator it shares with ``series``
-(``series._path_levels``); a path that is zero at every source is not
-evaluated and gets beta = 0.  It keeps one flip mask per ancilla index
-and V's rows at its phase precision, which at another precision can be
-rebuilt from the same coefficients.  With exact phases V's rows come
-straight from beta; a phase row per ancilla index is built for quantized
-phases and for the composite reference.
+(``series._path_levels``), writing each level into one preallocated table;
+on the taylor route a level extends its parents' Taylor profiles by one
+input and evaluates them in one product.  A path that is zero at every
+source is not evaluated and gets beta = 0.  It keeps one flip mask per
+ancilla index and V's rows at its phase precision, which at another
+precision can be rebuilt from the same coefficients.  With exact phases V's
+rows come straight from beta; a phase row per ancilla index is built for
+quantized phases and for the composite reference.
 """
 
 from __future__ import annotations
@@ -276,20 +278,24 @@ def _path_betas(
     in lexicographic order.  beta is the ``series._path_levels`` coefficient
     over the path weight gamma_path |dt|^q / q!, so it does not depend on the
     phase precision; a path ``_path_levels`` drops is zero at every source
-    and gets beta = 0."""
+    and gets beta = 0.  Each level is divided in place and written into the
+    one preallocated table, so the table is never held twice."""
     dim = 1 << h.n_qubits
-    flips = [np.zeros(1, dtype=np.int64)]
-    betas = [np.ones((1, dim), dtype=complex)]  # the empty path has beta = 1
-    gam_path = np.ones(1)
+    paths_per_level = np.cumprod([1] + [len(terms) for terms in levels])
+    flips = np.zeros(paths_per_level.sum(), dtype=np.int64)
+    betas = np.zeros((len(flips), dim), dtype=complex)
+    betas[0] = 1.0  # the empty path
+    lo, gam_path = 1, np.ones(1)  # lo: the first row of the level
     paths = _path_levels(h, plan, np.arange(dim), dd, levels)
     for q, (terms, (cum, keep, _, coeff)) in enumerate(zip(levels, paths), start=1):
         gam_path = np.outer(gam_path, gam[list(terms)]).reshape(-1)
         weight = (gam_path[keep] * abs(plan.delta_t) ** q / math.factorial(q))[:, None]
-        beta = np.zeros((len(cum), dim), dtype=complex)
-        beta[keep] = np.divide(coeff, weight, out=np.zeros_like(coeff), where=weight != 0.0)
-        flips.append(cum)
-        betas.append(beta)
-    return np.concatenate(flips), np.concatenate(betas)
+        np.divide(coeff, weight, out=coeff, where=weight != 0.0)
+        coeff[weight[:, 0] == 0.0] = 0.0
+        flips[lo:lo + len(cum)] = cum
+        betas[lo + keep] = coeff
+        lo += len(cum)
+    return flips, betas
 
 
 def _phase_pair(beta: np.ndarray, phase_bits: int | None) -> tuple[np.ndarray, np.ndarray]:

@@ -18,14 +18,18 @@ prices the work and picks one of two engines by method:
   so a level is one stacked gather over the terms that hop inside the set
   R of states reachable from the block, and one product that deposits all
   degrees: O(Q * M * |R| * n_max) work instead of O(M^Q * 2^N * n_max),
-  in a number of numpy calls that does not grow with M.  The
-  coefficients, the extension step and the degree n_max come from the
-  Taylor kernel in ``divdiff``.
+  in a number of numpy calls that does not grow with M.  The shift c, the
+  degree n_max and the coefficient table come from ``_taylor_table``, and
+  the extension step from the Taylor kernel in ``divdiff``.
 * naive, pyramid, leibniz: nonlinear in the path, so ``_uod_paths``
   enumerates every path.  It is also the recursion's small-N reference.
 
-One enumerator, ``_path_levels``, serves ``_uod_paths`` and the phase
-tables of ``lcu``; it skips paths that are zero at every source.
+One enumerator, ``_path_levels``, serves ``_uod_paths`` and the path
+coefficients of ``lcu``; it skips paths that are zero at every source.  For
+the taylor method it extends each kept path's profile from its parent's by
+the one new input, with the same ``_taylor_table`` as the recursion, so a
+level costs O(kept paths * sources * n_max) whatever its length q; the other
+methods evaluate each path's q + 1 inputs afresh.
 
 Segment bookkeeping pins the per-segment expansion rate at ln 2: the input
 bounds gamma_i are scaled up (never down) so the working total satisfies
@@ -315,21 +319,57 @@ def _require_finite(out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _taylor_table(
+    energies: np.ndarray, dt: float, order: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The Taylor kernel's set-up for paths of up to ``order`` flips over
+    ``energies``: the shift c, the midpoint of the energies; the shifted
+    energies y = E - c, so |y| is at most half their spread; and the table
+    pref[q, n] = (-i dt)^{q+n}/(q+n)! for q <= ``order`` and n up to the
+    degree ``series_order`` picks for |dt| * spread / 2.  Then
+    e^{-i dt [E_0, ..., E_q]} = e^{-i dt c} * sum_n pref[q, n] h_n(y_0..y_q)."""
+    lo, hi = (energies.min(), energies.max()) if len(energies) else (0.0, 0.0)
+    c = 0.5 * (lo + hi)
+    amp = abs(dt) * (hi - lo) / 2
+    n_max = series_order(amp, SERIES_TOL) if amp > 0.0 else 0
+    coeffs = _taylor_row(1.0, 0, order + n_max, dt)  # (-i dt)^j / j!
+    return c, energies - c, coeffs[np.add.outer(np.arange(order + 1), np.arange(n_max + 1))]
+
+
 def _path_levels(
     h: PmrHamiltonian, plan: SegmentPlan, sources: np.ndarray, config: DdConfig, levels
 ):
     """Per level q, the flip masks of all paths (i_1..i_q), i_j in
     ``levels[j-1]``, in lexicographic order; the positions of the kept paths
     in that order; their destinations z ^ mask (kept, sources); and their
-    coefficients e^{-i dt [0, E_{z_1} - E_z, ...]} * prod_j d_{i_j}(z_j),
-    from one ``dd_exp`` call per level.  A path whose hopping product is zero
-    at every source is dropped, and so are its extensions."""
+    coefficients e^{-i dt [0, E_{z_1} - E_z, ...]} * prod_j d_{i_j}(z_j).
+    A path whose hopping product is zero at every source is dropped, and so
+    are its extensions.
+
+    Only the divided differences depend on the method.  The taylor method
+    carries one real profile h_0..h_{n_max} of the shifted energies
+    y = E - c per kept path and source, (n_deg, kept, sources): a path's
+    profile is its parent's plus one input, the new state's y, so a level
+    costs one ``_add_input`` and one product with the ``_taylor_table`` row,
+    times e^{-i dt (c - E_z)} per source.  The other methods are nonlinear in
+    the path: they carry its q + 1 energy differences from the source and
+    make one ``dd_exp`` call per level."""
     energies = h.diagonal_values()
     d_tab = np.array([h.term_values(i) for i in range(h.m)])
     masks = h.x_masks()
     e_src = energies[sources]
+    taylor = config.method == "taylor"
+    if taylor:
+        c, y, pref = _taylor_table(energies, plan.delta_t, len(levels))
+        # each coefficient (-i dt)^j/j! is real or imaginary: two real rows
+        parts = np.stack((pref.real, pref.imag), axis=1)
+        shift = np.exp(-1j * plan.delta_t * (c - e_src))
+        prof = np.zeros((pref.shape[1], 1, len(sources)))
+        prof[0] = 1.0
+        _add_input(prof, y[sources])
+    else:
+        seq = np.zeros((1, len(sources), 1))
     flips = keep = np.zeros(1, dtype=np.int64)
-    seq = np.zeros((1, len(sources), 1))
     dprod = np.ones((1, len(sources)), dtype=complex)
     for q, terms in enumerate(levels, start=1):
         terms = np.asarray(terms, dtype=np.int64)
@@ -340,9 +380,17 @@ def _path_levels(
         dprod = dprod[parent] * d_tab[terms[child][:, None], dest]
         live = np.flatnonzero(np.any(dprod != 0, axis=1))
         parent, keep, dest, dprod = parent[live], keep[live], dest[live], dprod[live]
-        seq = np.concatenate((seq[parent], (energies[dest] - e_src)[..., None]), axis=2)
-        dd = dd_exp(seq.reshape(-1, q + 1), plan.delta_t, config).reshape(dest.shape)
-        yield flips, keep, dest, dd * dprod
+        if taylor:
+            prof = np.take(prof, parent, axis=1)  # C-ordered, unlike prof[:, parent]
+            _add_input(prof, y[dest])
+            dd = np.empty(dest.shape, dtype=complex)
+            dd.real, dd.imag = (parts[q] @ prof.reshape(len(prof), -1)).reshape(2, *dest.shape)
+            dd *= shift
+        else:
+            seq = np.concatenate((seq[parent], (energies[dest] - e_src)[..., None]), axis=2)
+            dd = dd_exp(seq.reshape(-1, q + 1), plan.delta_t, config).reshape(dest.shape)
+        dd *= dprod
+        yield flips, keep, dest, dd
 
 
 def _uod_paths(
@@ -400,13 +448,11 @@ class _Recursion:
     ``flips`` flips whose hopping value d_i at the post-flip state is
     nonzero.  The set-up fills two (M, 2^N) tables, the flip index z ^ mask_i
     and whether d_i(z) is nonzero, and grows R by one pass over both per
-    flip.  Energies are shifted by c, the midpoint of E over R, so
-    |y| = |E - c| is at most half their spread there.  The G terms that hop
-    inside R, ``terms``, keep in ascending order their source positions
-    ``src_pos`` (G, |R|) and values d_i at R ``coef`` (G, |R|, 1); position
-    |R| points at a zero row.  ``pref`` is the Taylor kernel's table
-    c[q, n] = (-i dt)^{q+n}/(q+n)! up to the degree ``series_order`` picks
-    for the shifted energies.
+    flip.  The G terms that hop inside R, ``terms``, keep in ascending
+    order their source positions ``src_pos`` (G, |R|) and values d_i at R
+    ``coef`` (G, |R|, 1); position |R| points at a zero row.  The shift c,
+    the midpoint of E over R, the shifted energies y = E - c and the table
+    ``pref`` come from ``_taylor_table`` over the energies on R.
     """
 
     def __init__(
@@ -437,16 +483,9 @@ class _Recursion:
         for j, i in enumerate(self.terms.tolist()):
             self.coef[j, :, 0] = np.where(inside[i], h.term_values(i)[self.rows], 0.0)
 
-        energies = h.diagonal_values()[self.rows]
-        lo, hi = (energies.min(), energies.max()) if len(energies) else (0.0, 0.0)
-        self.c = 0.5 * (lo + hi)
-        self.y = (energies - self.c)[:, None]
-        self.energies = energies
-        dt = plan.delta_t
-        amp = abs(dt) * (hi - lo) / 2
-        n_max = series_order(amp, SERIES_TOL) if amp > 0.0 else 0
-        coeffs = _taylor_row(1.0, 0, plan.Q + n_max, dt)  # (-i dt)^j / j!
-        self.pref = coeffs[np.add.outer(np.arange(plan.Q + 1), np.arange(n_max + 1))]
+        self.energies = h.diagonal_values()[self.rows]
+        self.c, y, self.pref = _taylor_table(self.energies, plan.delta_t, plan.Q)
+        self.y = y[:, None]
 
     def sweep(self, out: np.ndarray, start: np.ndarray) -> None:
         """Add the flip-path sums for q = 1..Q to ``out`` (|R|, k) in place.

@@ -17,7 +17,7 @@ from pmrsim import (
     pauli_to_pmr,
     plan_segments,
 )
-from pmrsim import series
+from pmrsim import lcu, series
 from pmrsim.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -261,24 +261,34 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
 
 class TestLcuCommand:
     def test_phase_bits_build_path_coefficients_once(self, tmp_path, monkeypatch):
-        # the quantized run and its exact-phase comparison share one table,
-        # so each path level is one dd_exp batch
-        calls = []
-        dd_exp = series.dd_exp
-
-        def counted(*args, **kwargs):
-            calls.append(len(args[0]))
-            return dd_exp(*args, **kwargs)
-
-        monkeypatch.setattr(series, "dd_exp", counted)
-        assert main(
-            ["lcu", "--hamiltonian", SAMPLE, "--t", "0.9", "--epsilon", "1e-3",
-             "--phase-bits", "16", "--output", str(tmp_path / "q.csv")]
-        ) == 0
+        # the quantized run and its exact-phase comparison share one build of
+        # the path coefficients; taylor extends each path's profile and makes
+        # no dd_exp call, leibniz makes one dd_exp batch per path level
         h = pauli_to_pmr(parse_hamiltonian_file(SAMPLE))
         plan = plan_segments(h, gamma_bounds(h), 0.9, 1e-3)
-        assert len(calls) == plan.Q
-        assert read_csv(tmp_path / "q.csv")[-1]["quantization_error"] != ""
+        for method, batches in (("taylor", 0), ("leibniz", plan.Q)):
+            builds, calls = [], []
+            path_betas, dd_exp = lcu._path_betas, series.dd_exp
+
+            def counted_builds(*args, **kwargs):
+                builds.append(args[-1])
+                return path_betas(*args, **kwargs)
+
+            def counted(*args, **kwargs):
+                calls.append(len(args[0]))
+                return dd_exp(*args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(lcu, "_path_betas", counted_builds)
+                m.setattr(series, "dd_exp", counted)
+                out = tmp_path / f"{method}.csv"
+                assert main(
+                    ["lcu", "--hamiltonian", SAMPLE, "--t", "0.9", "--epsilon", "1e-3",
+                     "--phase-bits", "16", "--dd-method", method, "--output", str(out)]
+                ) == 0
+            assert len(builds) == 1 and len(builds[0]) == plan.Q
+            assert len(calls) == batches
+            assert read_csv(out)[-1]["quantization_error"] != ""
 
     @pytest.mark.parametrize("method", ["taylor", "pyramid", "leibniz"])
     def test_agrees_with_series_run(self, tmp_path, method):

@@ -38,9 +38,8 @@ from pmrsim.lcu import (
     psi0_unary_cascade,
     system_segment,
 )
-from pmrsim.pmr import DiagonalOperator, PermutationOperator, PmrHamiltonian
 from pmrsim.series import LN2
-from test_offdiag_series import number_conserving_hamiltonian
+from test_offdiag_series import number_conserving_hamiltonian, with_zero_hopping
 
 LADDER = pauli_to_pmr(parse_hamiltonian("1.0 Z\n1.0 X\n"))
 LADDER_G = gamma_bounds(LADDER)
@@ -303,10 +302,14 @@ class TestVectorizedTables:
         # number-conserving hopping vanishes on equal bits, so some paths are
         # zero at every source and the level batches drop them
         h_nc = number_conserving_hamiltonian(np.random.default_rng(1), 3)
-        g_nc = gamma_bounds(h_nc)
-        plan_nc = plan_segments(h_nc, g_nc, 0.9, 1e-3, q_override=3)
+        # a term that is zero everywhere drops paths from level 1 on, so the
+        # rows of each later level follow levels that dropped paths
+        cases = [*small_cases()]
+        for hh in (h_nc, with_zero_hopping(h_nc)):
+            gg = gamma_bounds(hh)
+            cases.append((hh, gg, plan_segments(hh, gg, 0.9, 1e-3, q_override=3)))
         dropped = 0
-        for h, g, plan in (*small_cases(), (h_nc, g_nc, plan_nc)):
+        for h, g, plan in cases:
             masks = h.x_masks()
             for bits, tol in ((None, 1e-12), (8, 2 * math.pi / 2**8), (16, 2 * math.pi / 2**16)):
                 ops = SegmentOperators(h, g, plan, LcuConfig(phase_bits=bits, dd=dd))
@@ -480,15 +483,6 @@ class TestOaaSegment:
         comp = random_composite(rng, ops.layout, h.n_qubits)
         with pytest.raises(ValueError):
             oaa_segment(comp, ops)
-
-
-def with_zero_hopping(h):
-    """h plus a term whose diagonal is identically zero: ``_path_levels``
-    drops every path through it."""
-    used = set(h.x_masks().tolist())
-    free = next(m for m in range(1, 1 << h.n_qubits) if m not in used)
-    zero = (DiagonalOperator.zero(h.n_qubits), PermutationOperator(free))
-    return PmrHamiltonian(h.d0, (*h.terms, zero), h.n_qubits)
 
 
 def segment_cases():

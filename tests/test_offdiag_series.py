@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_pmr_hamiltonian, random_state
+from conftest import exact_dd_exp, random_pmr_hamiltonian, random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +29,7 @@ from pmrsim import (
     series_tail,
     uod_matrix,
 )
-from pmrsim import series
+from pmrsim import divdiff, series
 from pmrsim.divdiff import _add_input
 from pmrsim.pmr import DiagonalOperator, PermutationOperator, PmrHamiltonian, hopping_strength
 from pmrsim.series import DEFAULT_WORK_BUDGET, LN2, _apply_recursion, _uod_paths
@@ -405,6 +405,21 @@ class TestRecursionVsReference:
                     out = apply_uod_truncated(h, g, plan, psi)
                     assert np.max(np.abs(out - reference_segment(h, plan, psi))) <= 1e-12
 
+    def test_leibniz_path_reference(self):
+        # reference_segment shares the Taylor kernel's profile step with the
+        # recursion; leibniz path enumeration shares none of it
+        rng = np.random.default_rng(250)
+        hams = [random_pmr_hamiltonian(rng, n=n, m_terms=3) for n in (2, 3, 4, 5)]
+        hams += [number_conserving_hamiltonian(rng, n) for n in (3, 4, 5)]
+        for h in hams:
+            g = gamma_bounds(h)
+            for t in (1.3, -1.3):
+                plan = plan_segments(h, g, t, 1e-5, q_override=4)
+                block = np.stack(source_states(rng, h.n_qubits), axis=1)
+                ref = _uod_paths(h, plan, block, DdConfig("leibniz"))
+                out = _apply_recursion(h, plan, block, DdConfig())
+                assert np.max(np.abs(out - ref)) <= 1e-12
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_hopping_with_zeros(self, n):
         rng = np.random.default_rng(200 + n)
@@ -673,6 +688,97 @@ class TestStackedRecursion:
             plan = plan_segments(h, g, t, eps)
             assert tail(plan.Q) <= eps / plan.r < tail(plan.Q - 1)
             assert plan.tail_bound == tail(plan.Q)
+
+
+def with_zero_hopping(h):
+    """h plus a term whose diagonal is identically zero: ``_path_levels``
+    drops every path through it."""
+    used = set(h.x_masks().tolist())
+    free = next(m for m in range(1, 1 << h.n_qubits) if m not in used)
+    zero = (DiagonalOperator.zero(h.n_qubits), PermutationOperator(free))
+    return PmrHamiltonian(h.d0, (*h.terms, zero), h.n_qubits)
+
+
+def path_level_cases():
+    """(h, sources, t): random and number-conserving Hamiltonians with N <= 5,
+    one with a constant diagonal, one with a term that is zero everywhere,
+    and one from a proper subset of the sources."""
+    rng = np.random.default_rng(1000)
+    for n in (2, 3, 4, 5):
+        yield random_pmr_hamiltonian(rng, n=n, m_terms=3), np.arange(1 << n), 1.3
+    for n in (3, 4, 5):
+        yield number_conserving_hamiltonian(rng, n), np.arange(1 << n), -0.9
+    yield random_pmr_hamiltonian(rng, n=3, m_terms=3, n_diag=0), np.arange(8), -1.1
+    yield with_zero_hopping(random_pmr_hamiltonian(rng, n=3, m_terms=2)), np.arange(8), 0.7
+    yield random_pmr_hamiltonian(rng, n=4, m_terms=3), np.array([1, 6, 7, 12]), -1.7
+
+
+class TestPathLevels:
+    """The path enumerator shared by ``_uod_paths`` and ``lcu``."""
+
+    @staticmethod
+    def levels(h, sources, t, cfg, depth=4):
+        plan = plan_segments(h, gamma_bounds(h), t, 1e-4)
+        return plan, list(series._path_levels(h, plan, sources, cfg, [range(h.m)] * depth))
+
+    def test_taylor_profiles_match_leibniz(self):
+        # leibniz is accurate to about 1e-11 (``auto_doubling_depth``); it
+        # errs by up to 3e-12 of the level's largest value on these cases
+        cases = list(path_level_cases())
+        for h, sources, t in cases:
+            _, taylor = self.levels(h, sources, t, DdConfig())
+            _, ref = self.levels(h, sources, t, DdConfig("leibniz"))
+            assert len(taylor) == len(ref) == 4
+            for (flips, keep, dest, coeff), (flips_r, keep_r, dest_r, coeff_r) in zip(taylor, ref):
+                assert np.array_equal(flips, flips_r) and np.array_equal(keep, keep_r)
+                assert np.array_equal(dest, dest_r)
+                scale = np.max(np.abs(coeff_r), initial=0.0)
+                assert np.max(np.abs(coeff - coeff_r), initial=0.0) <= 1e-11 * scale
+        # the zero term's paths are dropped, and a constant diagonal needs
+        # one degree: every coefficient is (-i dt)^q/q! * prod d
+        h, sources, t = cases[-2]
+        _, levels = self.levels(h, sources, t, DdConfig())
+        assert all(np.all(keep % h.m != h.m - 1) for _, keep, _, _ in levels)
+        h, _, t = cases[-3]
+        plan = plan_segments(h, gamma_bounds(h), t, 1e-4)
+        assert series._taylor_table(h.diagonal_values(), plan.delta_t, 4)[2].shape == (5, 1)
+
+    def test_taylor_profiles_match_exact_sum(self):
+        # a few entries against the exact rational Taylor sum of the path's
+        # energy differences from its source
+        h, sources, t = list(path_level_cases())[-1]
+        assert len(sources) < 1 << h.n_qubits
+        plan, taylor = self.levels(h, sources, t, DdConfig())
+        energies, masks = h.diagonal_values(), h.x_masks()
+        for q, (_, keep, dest, coeff) in enumerate(taylor, start=1):
+            for row in (0, len(keep) // 2, len(keep) - 1):
+                digits = np.unravel_index(keep[row], (h.m,) * q)
+                for col, z in enumerate(sources.tolist()):
+                    states, dprod = [z], 1.0
+                    for i in digits:
+                        states.append(states[-1] ^ int(masks[i]))
+                        dprod *= h.term_values(int(i))[states[-1]]
+                    assert dest[row, col] == states[-1]
+                    dd = exact_dd_exp([energies[s] - energies[z] for s in states], plan.delta_t)
+                    assert abs(coeff[row, col] - dd * dprod) <= 1e-13 * abs(dd * dprod)
+
+    def test_one_input_added_per_level(self, monkeypatch):
+        # each level extends its parents' profiles by one input: Q + 1 calls
+        # in all, where evaluating each path afresh takes sum_q (q + 1)
+        calls = []
+        add_input = divdiff._add_input
+
+        def counted(prof, y):
+            calls.append(prof.shape)
+            add_input(prof, y)
+
+        monkeypatch.setattr(divdiff, "_add_input", counted)
+        monkeypatch.setattr(series, "_add_input", counted)
+        h = random_pmr_hamiltonian(np.random.default_rng(1100), n=3, m_terms=3)
+        plan = plan_segments(h, gamma_bounds(h), 1.2, 1e-6)
+        assert plan.Q >= 2
+        list(series._path_levels(h, plan, np.arange(8), DdConfig(), [range(h.m)] * plan.Q))
+        assert len(calls) == plan.Q + 1
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
