@@ -15,7 +15,8 @@ Childs, Cleve, Kothari & Somma, PRL 114, 090502, 2015).  B|0> is the real
 weight state psi0, so V = sum_a psi0_a^2 U_a, where U_a is ancilla index a's
 phase row followed by its flip.  Indices that share a flip mask f merge into
 one row c_f(z), which leaves F <= min(anc_dim / 2, 2^N) rows, and
-V x = sum_f (c_f x)[z ^ f], V' x = sum_f conj(c_f) x[z ^ f].
+V x = sum_f (c_f x)[z ^ f], V' x = sum_f conj(c_f) x[z ^ f]: the
+``series._FlipRows`` form of an enumerated segment.
 
 The composite emulator (``CompositeState``, ``apply_B``, ``apply_U_C``,
 ``apply_W``, ``apply_reflection``, ``oaa_segment``) carries the whole
@@ -23,23 +24,20 @@ ancilla x system state through the circuit.  It is the reference that the
 system-register segment is checked against; no run goes through it.
 
 Everything is plain state-vector arithmetic, and no operator is
-materialized densely.  Each SegmentOperators builds its path coefficients
-level by level from the path enumerator it shares with ``series``
-(``series._path_levels``), writing each level into one preallocated table;
-on the taylor route a level extends its parents' Taylor profiles by one
-input and evaluates them in one product.  A path that is zero at every
-source is not evaluated and gets beta = 0.  It keeps one flip mask per
-ancilla index and V's rows at its phase precision, which at another
-precision can be rebuilt from the same coefficients.  With exact phases V's
-rows come straight from beta; a phase row per ancilla index is built for
-quantized phases and for the composite reference.
+materialized densely.  Each SegmentOperators divides the path table it
+shares with ``series`` (``series._path_table``) in place by the path
+weights.  A path that is zero at every source is not evaluated and gets
+beta = 0.  It keeps one flip mask per ancilla index and V at its phase
+precision; ``flip_rows`` builds V at another precision from the same
+coefficients.  With exact phases V's rows come straight from beta; a phase
+row per ancilla index is built for quantized phases and for the composite
+reference.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -48,9 +46,9 @@ import numpy as np
 from .divdiff import DdConfig
 from .oracle import DenseOracle
 from .pmr import GammaBounds, PmrHamiltonian
-from .series import (DEFAULT_WORK_BUDGET, LN2, Path, SegmentPlan, WorkBudgetExceededError,
-                     _check_path, _path_levels, _require_finite, apply_diagonal,
-                     partial_exp_sum, plan_segments)
+from .series import (DEFAULT_WORK_BUDGET, LN2, Path, SegmentPlan, _check_path,
+                     _check_rows_budget, _FlipRows, _path_table, _require_finite,
+                     apply_diagonal, partial_exp_sum, plan_segments)
 
 __all__ = [
     "AncillaLayout",
@@ -211,7 +209,7 @@ def psi0_unary_cascade(
         if q > 0:
             amp *= rate / q  # (Gamma dt)^q / q!
         vec[q] = math.sqrt(amp)
-    return vec / np.linalg.norm(vec)
+    return vec / np.sqrt(np.sum(vec * vec))
 
 
 def prepare_psi0(
@@ -236,7 +234,7 @@ def prepare_psi0(
         fan = np.outer(fan, frac).reshape(-1)
         amps.append(ladder[q] * fan)
     vec = np.repeat(np.concatenate(amps), 2) / math.sqrt(2.0)
-    norm = np.linalg.norm(vec)
+    norm = np.sqrt(np.sum(vec * vec))  # fixed order, unlike a threaded BLAS dot
     if norm == 0.0:
         raise ValueError("degenerate weight state (all bounds zero)")
     return vec / norm
@@ -275,41 +273,34 @@ def _path_betas(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative flip masks (P,) and path coefficients beta (P, 2^N) of the
     empty path and of every path with i_j in ``levels[j-1]``, level by level
-    in lexicographic order.  beta is the ``series._path_levels`` coefficient
+    in lexicographic order.  beta is the ``series._path_table`` coefficient
     over the path weight gamma_path |dt|^q / q!, so it does not depend on the
-    phase precision; a path ``_path_levels`` drops is zero at every source
-    and gets beta = 0.  Each level is divided in place and written into the
-    one preallocated table, so the table is never held twice."""
-    dim = 1 << h.n_qubits
-    paths_per_level = np.cumprod([1] + [len(terms) for terms in levels])
-    flips = np.zeros(paths_per_level.sum(), dtype=np.int64)
-    betas = np.zeros((len(flips), dim), dtype=complex)
-    betas[0] = 1.0  # the empty path
-    lo, gam_path = 1, np.ones(1)  # lo: the first row of the level
-    paths = _path_levels(h, plan, np.arange(dim), dd, levels)
-    for q, (terms, (cum, keep, _, coeff)) in enumerate(zip(levels, paths), start=1):
+    phase precision; a path that table leaves zero, or whose weight is zero,
+    gets beta = 0.  The table is divided in place, so it is never held
+    twice."""
+    flips, betas = _path_table(h, plan, dd, levels)
+    weight, gam_path = [np.ones(1)], np.ones(1)
+    for q, terms in enumerate(levels, start=1):
         gam_path = np.outer(gam_path, gam[list(terms)]).reshape(-1)
-        weight = (gam_path[keep] * abs(plan.delta_t) ** q / math.factorial(q))[:, None]
-        np.divide(coeff, weight, out=coeff, where=weight != 0.0)
-        coeff[weight[:, 0] == 0.0] = 0.0
-        flips[lo:lo + len(cum)] = cum
-        betas[lo + keep] = coeff
-        lo += len(cum)
+        weight.append(gam_path * abs(plan.delta_t) ** q / math.factorial(q))
+    weight = np.concatenate(weight)[:, None]
+    np.divide(betas, weight, out=betas, where=weight != 0.0)
+    betas[weight[:, 0] == 0.0] = 0.0
     return flips, betas
 
 
-def _phase_pair(beta: np.ndarray, phase_bits: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Phase rows e^{i theta_0}, e^{i theta_1}, theta_k = chi +/- phi, with
-    beta = cos(phi) e^{i chi}; with ``phase_bits`` both angles are first
-    rounded up to the b-bit grid."""
+def _phase_pair(beta: np.ndarray, phase_bits: int | None) -> np.ndarray:
+    """Phase rows e^{i theta_k}, theta_k = chi +/- phi, with beta (P, 2^N)
+    = cos(phi) e^{i chi}; row 2p + k is path p's, so row a is ancilla index
+    a's.  With ``phase_bits`` both angles are first rounded up to the b-bit
+    grid."""
     mag = np.abs(beta)
     chi = np.where(mag > 0, np.angle(beta), 0.0)
     phi = np.arccos(np.clip(mag, 0.0, 1.0))
-    theta0, theta1 = chi + phi, chi - phi
+    theta = np.stack((chi + phi, chi - phi), axis=1).reshape(-1, beta.shape[1])
     if phase_bits is not None:
-        theta0 = _quantize_angle(theta0, phase_bits)
-        theta1 = _quantize_angle(theta1, phase_bits)
-    return np.exp(1j * theta0), np.exp(1j * theta1)
+        theta = _quantize_angle(theta, phase_bits)
+    return np.exp(1j * theta)
 
 
 def compute_phase_angles(
@@ -330,18 +321,17 @@ def compute_phase_angles(
     _check_path(h, plan, z, indices)
     gam, _ = lcu_weights(g, plan, config)
     _, beta = _path_betas(h, gam, plan, config.dd, [[i] for i in indices])
-    ph0, ph1 = _phase_pair(beta[-1], config.phase_bits)
-    theta0, theta1 = float(np.angle(ph0[z])), float(np.angle(ph1[z]))
+    theta0, theta1 = np.angle(_phase_pair(beta[-1:], config.phase_bits)[:, z]).tolist()
     return 0.5 * (theta0 + theta1), 0.5 * (theta0 - theta1)
 
 
 class SegmentOperators:
     """Per-plan tables: the weight state; per ancilla index a, the path's flip
-    mask and phase row e^{i theta_k(z)}; and the F rows of V = <0|W|0> on the
-    system register.  The paths of ``_path_betas`` come in
-    ``AncillaLayout.paths()`` order, so row a is the path of rank a >> 1 with
-    k = a & 1.  The phase rows are built on first use: with exact phases V
-    does not need them.
+    mask and phase row e^{i theta_k(z)}; and V = <0|W|0> on the system
+    register as ``series._FlipRows``, ``v``.  The paths of ``_path_betas``
+    come in ``AncillaLayout.paths()`` order, so row a is the path of rank
+    a >> 1 with k = a & 1.  The phase rows are built on first use: with
+    exact phases V does not need them.
     """
 
     def __init__(
@@ -360,44 +350,27 @@ class SegmentOperators:
         self._energies = h.diagonal_values()
         cum, self._beta = _path_betas(h, self.gam, plan, self.config.dd, [range(h.m)] * plan.Q)
         self.flips = np.repeat(cum, 2)
-        self._build_v()
+        self.v = self.flip_rows(self.config.phase_bits)
 
     @cached_property
     def phases(self) -> np.ndarray:
         """Phase rows e^{i theta_a(z)}, one per ancilla index, from the path
         coefficients at ``config.phase_bits``."""
-        ph0, ph1 = _phase_pair(self._beta, self.config.phase_bits)
-        return np.stack((ph0, ph1), axis=1).reshape(len(self.flips), -1)
+        return _phase_pair(self._beta, self.config.phase_bits)
 
-    def _build_v(self) -> None:
-        """V's rows c_f(z) = sum_{a: flip_a = f} psi0_a^2 e^{i theta_a(z)}.
+    def flip_rows(self, phase_bits: int | None) -> _FlipRows:
+        """V at ``phase_bits`` from these path coefficients, no path evaluated
+        again: rows c_f(z) = sum_{a: flip_a = f} psi0_a^2 e^{i theta_a(z)}.
 
         With exact phases a path's pair sums to e^{i(chi + phi)} +
         e^{i(chi - phi)} = 2 cos(phi) e^{i chi} = 2 min(|beta|, 1) e^{i chi},
         which is beta / max(|beta|, 1): V then needs no phase row."""
-        dim = 1 << self.h.n_qubits
-        if self.config.phase_bits is None:
+        if phase_bits is None:
             flips, weight = self.flips[::2], 2.0 * self.psi0[::2] ** 2
             terms = self._beta / np.maximum(np.abs(self._beta), 1.0)
         else:
-            flips, weight, terms = self.flips, self.psi0 ** 2, self.phases
-        masks, group = np.unique(flips, return_inverse=True)
-        rows = np.zeros((len(masks), dim), dtype=complex)
-        np.add.at(rows, group, weight[:, None] * terms)
-        index_type = np.min_scalar_type(dim - 1)
-        self._v_index = np.arange(dim, dtype=index_type) ^ masks[:, None].astype(index_type)
-        self._v_rows = np.take_along_axis(rows, self._v_index, axis=1)  # c_f(z ^ f)
-        self._v_dagger_rows = rows.conj()
-
-    def _with_phase_bits(self, phase_bits: int | None) -> "SegmentOperators":
-        """These operators at another phase precision, from the same path
-        coefficients (no path is evaluated again); phase rows cached at this
-        precision are not carried over."""
-        other = copy.copy(self)
-        other.__dict__.pop("phases", None)
-        other.config = replace(self.config, phase_bits=phase_bits)
-        other._build_v()
-        return other
+            flips, weight, terms = self.flips, self.psi0 ** 2, _phase_pair(self._beta, phase_bits)
+        return _FlipRows(flips, weight[:, None] * terms)
 
     @cached_property
     def gather(self) -> np.ndarray:
@@ -415,14 +388,6 @@ class SegmentOperators:
 
     def diagonal_phases(self) -> np.ndarray:
         return np.exp(-1j * self.plan.delta_t * self._energies)
-
-    def apply_V(self, x: np.ndarray) -> np.ndarray:
-        """V x = sum_f (c_f x)[z ^ f] on the system register."""
-        return np.sum(self._v_rows * x[self._v_index], axis=0)
-
-    def apply_V_dagger(self, x: np.ndarray) -> np.ndarray:
-        """V' x = sum_f conj(c_f) x[z ^ f] on the system register."""
-        return np.sum(self._v_dagger_rows * x[self._v_index], axis=0)
 
 
 def apply_U_C(
@@ -548,28 +513,35 @@ def oaa_segment(
     return work, _segment_diagnostics(ops, sys_in, state.norm() ** 2, work.block(0), oracle)
 
 
+def _amplified(
+    system: np.ndarray, ops: SegmentOperators, v: _FlipRows, oracle: DenseOracle | None
+) -> tuple[np.ndarray, SegmentDiagnostics]:
+    """3Vx - 4VV'Vx for x = e^{-i dt E} system and V = ``v``, with the
+    diagnostics of ``oaa_segment``."""
+    vx = v.apply(ops.diagonal_phases() * system)
+    out = 3.0 * vx - 4.0 * v.apply(v.apply_dagger(vx))
+    in_weight = float(np.linalg.norm(system)) ** 2
+    return out, _segment_diagnostics(ops, system, in_weight, out, oracle)
+
+
 def system_segment(
     system: np.ndarray,
     ops: SegmentOperators,
     oracle: DenseOracle | None = None,
 ) -> tuple[np.ndarray, SegmentDiagnostics]:
     """``oaa_segment`` on the system register: the ancilla-zero block
-    3Vx - 4VV'Vx of A applied to x = e^{-i dt E} system, with the same
-    diagnostics, and no composite state."""
-    x = ops.diagonal_phases() * system
-    vx = ops.apply_V(x)
-    out = 3.0 * vx - 4.0 * ops.apply_V(ops.apply_V_dagger(vx))
-    in_weight = float(np.linalg.norm(system)) ** 2
-    return out, _segment_diagnostics(ops, system, in_weight, out, oracle)
+    3Vx - 4VV'Vx of A applied to x = e^{-i dt E} system, with V = ``ops.v``,
+    the same diagnostics, and no composite state."""
+    return _amplified(system, ops, ops.v, oracle)
 
 
 def _run_segments(
-    ops: SegmentOperators, state: np.ndarray, oracle: DenseOracle | None
+    ops: SegmentOperators, v: _FlipRows, state: np.ndarray, oracle: DenseOracle | None
 ) -> tuple[np.ndarray, list[SegmentDiagnostics]]:
     diags: list[SegmentDiagnostics] = []
     sys = state
     for _ in range(ops.plan.r):
-        sys, diag = system_segment(sys, ops, oracle)
+        sys, diag = _amplified(sys, ops, v, oracle)
         diags.append(diag)
         norm = np.linalg.norm(sys)
         if norm == 0.0:
@@ -604,20 +576,14 @@ def _evolve_lcu_runs(
             f"2 * sum_{{q<={plan.Q}}} {h.m}^q * 2^{h.n_qubits} = {composite_dim} "
             f"exceeds budget {composite_budget}"
         )
-    # a segment touches the F <= min(anc_dim / 2, 2^N) rows of V three times
-    rows = min(anc_dim // 2, 1 << h.n_qubits)
-    work = plan.r * 3 * rows << h.n_qubits
-    if work > DEFAULT_WORK_BUDGET:
-        raise WorkBudgetExceededError(
-            work, DEFAULT_WORK_BUDGET, f"{plan.r} * 3 * {rows} * 2^{h.n_qubits}",
-            "r * 3 * min(anc_dim/2, 2^N) * 2^N",
-        )
+    # a segment applies V's F <= min(anc_dim / 2, 2^N) rows three times
+    _check_rows_budget(h, plan, DEFAULT_WORK_BUDGET, 3)
     ops = SegmentOperators(h, g, plan, config)
     oracle = DenseOracle(h) if h.n_qubits <= 6 else None
-    out, diags = _run_segments(ops, state, oracle)
+    out, diags = _run_segments(ops, ops.v, state, oracle)
     exact = None
     if exact_too:
-        exact, _ = _run_segments(ops._with_phase_bits(None), state, None)
+        exact, _ = _run_segments(ops, ops.flip_rows(None), state, None)
     return out, diags, exact
 
 

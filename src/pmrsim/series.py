@@ -6,8 +6,8 @@ Each segment's off-diagonal factor U_od is the sum over flip paths
 deposited at the flipped basis state.  No ancillas are involved.
 
 One dispatcher, ``_segment``, applies U_od to every column of a (2^N, k)
-block (a state is a one-column block, the dense matrix the identity block),
-prices the work and picks one of two engines by method:
+block (a state is a one-column block) or builds its dense matrix, prices
+the work and picks one of two engines by method:
 
 * taylor: the basis-state recursion ``_apply_recursion``.  In Taylor form a
   path's divided difference is a fixed linear functional of its profile of
@@ -24,12 +24,15 @@ prices the work and picks one of two engines by method:
 * naive, pyramid, leibniz: nonlinear in the path, so ``_uod_paths``
   enumerates every path.  It is also the recursion's small-N reference.
 
-One enumerator, ``_path_levels``, serves ``_uod_paths`` and the path
-coefficients of ``lcu``; it skips paths that are zero at every source.  For
-the taylor method it extends each kept path's profile from its parent's by
-the one new input, with the same ``_taylor_table`` as the recursion, so a
-level costs O(kept paths * sources * n_max) whatever its length q; the other
-methods evaluate each path's q + 1 inputs afresh.
+An enumerated U_od, like ``lcu``'s V, has one form: its paths summed by
+net flip mask f, U_od = sum_f P_f diag(c_f), as the F <= min(P, 2^N) rows
+of ``_FlipRows`` (P = sum_{q<=Q} M^q), from the (P, 2^N) table of
+``_path_table``.  Its one enumerator, ``_path_levels``, skips paths that are
+zero at every source.  For the taylor method it extends each kept path's
+profile from its parent's by the one new input, with the same
+``_taylor_table`` as the recursion, so a level costs
+O(kept paths * sources * n_max) whatever its length q; the other methods
+evaluate each path's q + 1 inputs afresh.
 
 Segment bookkeeping pins the per-segment expansion rate at ln 2: the input
 bounds gamma_i are scaled up (never down) so the working total satisfies
@@ -76,7 +79,6 @@ __all__ = [
 
 LN2 = math.log(2.0)
 DEFAULT_WORK_BUDGET = 1 << 28
-_MATRIX_REUSE_ENTRIES = 1 << 24
 _EVAL_CHUNK_ROWS = 1 << 20
 
 
@@ -284,28 +286,36 @@ def apply_diagonal(h: PmrHamiltonian, state: np.ndarray, delta_t: float) -> np.n
 
 
 def _check_budget(
-    h: PmrHamiltonian, plan: SegmentPlan, method: str, budget: int,
-    segments: int = 1, states: int | None = None,
+    h: PmrHamiltonian, plan: SegmentPlan, method: str, budget: int, states: int | None = None
 ) -> None:
     """Refuse work above ``budget``.  Per segment, the taylor recursion
     gathers over M terms for Q levels on |R| <= 2^N states, so it is priced
-    Q * M * 2^N, or Q * M * |R| once ``states`` = |R| is known; path
-    enumeration costs M^Q * 2^N.  A run of r > 1 ``segments`` is priced r
-    times that."""
+    Q * M * 2^N; once ``states`` = |R| is known, its r segments are priced
+    r * Q * M * |R|.  Path enumeration costs M^Q * 2^N."""
     n = h.n_qubits
     if method == "taylor" and states is not None:
-        product = plan.Q * h.m * states
-        detail, work = f"{plan.Q} * {h.m} * {states}", "recursion work Q * M * |R|"
+        product = plan.r * plan.Q * h.m * states
+        detail = f"{plan.r} * {plan.Q} * {h.m} * {states}"
+        work = "r * recursion work Q * M * |R|"
     elif method == "taylor":
         product = plan.Q * h.m << n
         detail, work = f"{plan.Q} * {h.m} * 2^{n}", "recursion work Q * M * 2^N"
     else:
         product = h.m ** plan.Q << n
         detail, work = f"{h.m}^{plan.Q} * 2^{n}", "path work M^Q * 2^N"
-    if segments > 1:
-        product *= segments
-        detail, work = f"{segments} * {detail}", f"r * {work}"
     if product > budget:
+        raise WorkBudgetExceededError(product, budget, detail, work)
+
+
+def _check_rows_budget(h: PmrHamiltonian, plan: SegmentPlan, budget: int, applies: int = 1):
+    """Refuse r segments of ``applies`` applies of flip rows above ``budget``:
+    one touches F <= min(P, 2^N) rows of 2^N entries, P = sum_{q<=Q} M^q."""
+    n = h.n_qubits
+    rows = min(sum(h.m ** q for q in range(plan.Q + 1)), 1 << n)
+    product = plan.r * applies * rows << n
+    if product > budget:
+        detail = f"{plan.r} * {applies} * {rows} * 2^{n}"
+        work = f"r * {applies} * min(P, 2^N) * 2^N"
         raise WorkBudgetExceededError(product, budget, detail, work)
 
 
@@ -393,52 +403,77 @@ def _path_levels(
         yield flips, keep, dest, dd
 
 
+def _path_table(
+    h: PmrHamiltonian, plan: SegmentPlan, config: DdConfig, levels, sources=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative flip masks (P,) and coefficients (P, 2^N) of the empty path
+    and of every path with i_j in ``levels[j-1]``, level by level in
+    lexicographic order: a row holds the path's ``_path_levels`` coefficient
+    from each of ``sources`` (default all 2^N) and zeros elsewhere.  Each
+    level goes into the one preallocated table, never held twice."""
+    dim = 1 << h.n_qubits
+    sources = np.arange(dim) if sources is None else sources
+    flips = np.zeros(np.cumprod([1] + [len(terms) for terms in levels]).sum(), dtype=np.int64)
+    table = np.zeros((len(flips), dim), dtype=complex)
+    table[0, sources] = 1.0  # the empty path
+    lo = 1  # the first row of the level
+    for cum, keep, _, coeff in _path_levels(h, plan, sources, config, levels):
+        flips[lo:lo + len(cum)] = cum
+        table[lo + keep[:, None], sources] = coeff
+        lo += len(cum)
+    return flips, table
+
+
+class _FlipRows:
+    """A sum of generalized permutations U = sum_f P_f diag(c_f), one row
+    c_f(z) per distinct flip mask f, so (U x)[z ^ f] gets c_f(z) x[z] from
+    every f.  Rows that share a mask are merged in their given order by
+    ``np.add.at``; ``index`` holds z ^ f per row and ``rows`` holds c_f(z)
+    by source z."""
+
+    def __init__(self, flips: np.ndarray, rows: np.ndarray):
+        dim = rows.shape[1]
+        masks, group = np.unique(flips, return_inverse=True)
+        self.rows = np.zeros((len(masks), dim), dtype=complex)
+        np.add.at(self.rows, group, rows)
+        index_type = np.min_scalar_type(dim - 1)
+        self.index = np.arange(dim, dtype=index_type) ^ masks[:, None].astype(index_type)
+        self._gathered = np.take_along_axis(self.rows, self.index, axis=1)  # c_f(z ^ f)
+
+    def _sum(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """sum_f rows_f(z) x[z ^ f] for x of shape (2^N,) or (2^N, k)."""
+        return np.sum(rows.reshape(rows.shape + (1,) * (x.ndim - 1)) * x[self.index], axis=0)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """U x = sum_f c_f(z ^ f) x[z ^ f]."""
+        return self._sum(self._gathered, x)
+
+    def apply_dagger(self, x: np.ndarray) -> np.ndarray:
+        """U' x = sum_f conj(c_f(z)) x[z ^ f]."""
+        return self._sum(self.rows.conj(), x)
+
+    def dense(self) -> np.ndarray:
+        """The 2^N x 2^N matrix, U[z ^ f, z] = c_f(z)."""
+        dim = self.rows.shape[1]
+        out = np.zeros((dim, dim), dtype=complex)
+        out[self.index, np.arange(dim)] = self.rows
+        return out
+
+
 def _uod_paths(
-    h: PmrHamiltonian, plan: SegmentPlan, block: np.ndarray, config: DdConfig
+    h: PmrHamiltonian, plan: SegmentPlan, block: np.ndarray | None, config: DdConfig
 ) -> np.ndarray:
-    """Truncated U_od applied to each column of ``block`` (2^N, k) by
-    enumerating every flip path and evaluating its divided difference with
-    the configured method.
-
-    This is the engine of the naive, pyramid and leibniz methods, whose
-    divided differences are nonlinear in the path, and the small-N reference
-    that the taylor recursion is checked against.  Paths run from every row
-    with a nonzero entry; only the nonzero entries deposit, into flat index
-    dest * k + column.  Paths come from ``_path_levels`` in lexicographic
-    order, and per-level deposits are merged with compensated accumulation,
-    so outputs are reproducible.
-    """
-    dim, k = block.shape
-    rows, cols = np.nonzero(block)
-    sources, entry = np.unique(rows, return_inverse=True)
-    weights = block[rows, cols]
-    acc = np.zeros(dim * k, dtype=complex)
-    comp = np.zeros(dim * k, dtype=complex)
-    acc[rows * k + cols] = weights  # the empty path
-    if plan.Q == 0 or h.m == 0 or len(sources) == 0:
-        return acc.reshape(dim, k)
-
-    n_ent = len(entry)
-    paths = _path_levels(h, plan, sources, config, [range(h.m)] * plan.Q)
-    for _, keep, dest, coeff in paths:
-        if len(keep) == 0:
-            break
-        level = np.zeros(dim * k, dtype=complex)
-        # deposits [lo, hi) in (path, entry) order, cut from whole rows r0..r1
-        for lo in range(0, len(keep) * n_ent, _EVAL_CHUNK_ROWS):
-            hi = min(lo + _EVAL_CHUNK_ROWS, len(keep) * n_ent)
-            r0, r1 = lo // n_ent, -(-hi // n_ent)
-            cut = slice(lo - r0 * n_ent, hi - r0 * n_ent)
-            idx = (dest[r0:r1, entry] * k + cols).ravel()[cut]
-            vals = coeff[r0:r1, entry].ravel()[cut] * np.tile(weights, r1 - r0)[cut]
-            level += np.bincount(idx, vals.real, dim * k) + 1j * np.bincount(
-                idx, vals.imag, dim * k
-            )
-        total = acc + level  # acc += level, Neumaier-compensated
-        big = np.abs(total) >= np.abs(level)
-        comp += np.where(big, (acc - total) + level, (level - total) + acc)
-        acc = total
-    return (acc + comp).reshape(dim, k)
+    """Truncated U_od applied to each column of ``block`` (2^N, k), or for
+    ``block`` None its dense matrix, by evaluating every flip path's divided
+    difference with the configured method: the engine of the naive, pyramid
+    and leibniz methods, whose divided differences are nonlinear in the path,
+    and the small-N reference of the taylor recursion.  The paths'
+    coefficients from every row of ``block`` with a nonzero entry (every
+    source for the matrix), summed by flip mask in lexicographic path order
+    into ``_FlipRows``, act as one gather-sum, so outputs are reproducible."""
+    sources = None if block is None else np.flatnonzero(np.any(block != 0, axis=1))
+    rows = _FlipRows(*_path_table(h, plan, config, [range(h.m)] * plan.Q, sources))
+    return rows.dense() if block is None else rows.apply(block)
 
 
 class _Recursion:
@@ -494,7 +529,7 @@ class _Recursion:
         start[z] * e^{-i dt [y_z, y_{z_1}, ..., y_{z_q}]} * prod_j d_{i_j}.
         Every path ending at the same state after q flips shares one profile
         P[n] = sum of weight * prod d * h_n(y along the path), so one flip
-        is one stacked gather ``prof[:, src_pos]`` times ``coef``, summed over
+        is one stacked gather of ``prof`` at ``src_pos`` times ``coef``, summed over
         the term axis in ascending term order, followed by the kernel's
         input-addition step with the new state's y; the level then deposits
         as one product pref[q] @ level.  The gather's temporary holds
@@ -516,7 +551,7 @@ class _Recursion:
         for q in range(1, self.pref.shape[0]):
             level = nxt[:, :n_rows]
             for lo in range(0, n_terms, step):
-                part = prof[:, self.src_pos[lo:lo + step]]
+                part = np.take(prof, self.src_pos[lo:lo + step], axis=1)
                 part *= self.coef[lo:lo + step]
                 if lo:
                     part[:, 0] += level
@@ -529,8 +564,9 @@ class _Recursion:
 def _apply_recursion(
     h: PmrHamiltonian, plan: SegmentPlan, block: np.ndarray, config: DdConfig
 ) -> np.ndarray:
-    """Truncated U_od applied to each column of ``block`` (2^N, k) by the
-    basis-state recursion."""
+    """Truncated U_od applied to each column of ``block`` (2^N, k), or to
+    the identity for ``block`` None, by the basis-state recursion."""
+    block = np.eye(1 << h.n_qubits, dtype=complex) if block is None else block
     rec = _Recursion(h, plan, np.any(block != 0, axis=1), plan.Q)
     sub = block[rec.rows]
     out = sub.copy()  # the empty path
@@ -541,11 +577,12 @@ def _apply_recursion(
 
 
 def _segment(
-    h: PmrHamiltonian, g: GammaBounds, plan: SegmentPlan, block: np.ndarray,
+    h: PmrHamiltonian, g: GammaBounds, plan: SegmentPlan, block: np.ndarray | None,
     config: DdConfig | None, work_budget: int,
 ) -> np.ndarray:
-    """Truncated U_od applied to each column of ``block`` (2^N, k): the taylor
-    recursion for the taylor method, path enumeration for the others."""
+    """Truncated U_od applied to each column of ``block`` (2^N, k), or for
+    ``block`` None its dense matrix: the taylor recursion for the taylor
+    method, path enumeration for the others."""
     if len(g.gamma) != h.m:
         raise ValueError(f"got {len(g.gamma)} bounds for M={h.m} terms")
     cfg = config or DdConfig()
@@ -578,11 +615,12 @@ def uod_matrix(
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> np.ndarray:
     """Dense matrix of the truncated off-diagonal segment factor (small N):
-    ``_segment`` applied to the identity block."""
-    dim = 1 << h.n_qubits
-    if dim * dim > _MATRIX_REUSE_ENTRIES:
-        raise ValueError("dense segment matrix limited to small N")
-    return _segment(h, g, plan, np.eye(dim, dtype=complex), config, work_budget)
+    the taylor recursion applied to the identity block, or for the other
+    methods the enumerated flip rows scattered into the matrix, never
+    applied to an identity block of F * 4^N gathered entries."""
+    if h.n_qubits > 12:
+        raise ValueError("dense segment matrix limited to N <= 12")
+    return _segment(h, g, plan, None, config, work_budget)
 
 
 def evolve(
@@ -602,10 +640,11 @@ def evolve(
     built once over every state the r segments can reach; the diagonal
     phase folds into it, since e^{-i dt E_z} times the recursion's source
     factor e^{i dt (E_z - c)} is the global e^{-i dt c}.  The other methods
-    enumerate paths: when the dense segment matrix is affordable and reused
-    across several segments it is built once; otherwise each segment
-    re-enumerates paths matrix-free.  The work budget prices all r segments,
-    the recursion's on the reachable set R, or one for the reused matrix.
+    enumerate the paths once into U_od's F <= min(P, 2^N) flip rows,
+    P = sum_{q<=Q} M^q, and apply them after each segment's diagonal phase.
+    The work budget prices all r segments before any path is evaluated: the
+    recursion's on the reachable set R; for the other methods, one
+    enumeration M^Q * 2^N and r applies of the rows.
     """
     state = np.asarray(state, dtype=complex)
     plan = plan_segments(h, g, t, epsilon, q_override=q_override)
@@ -615,11 +654,11 @@ def evolve(
     dim = 1 << h.n_qubits
     if state.shape != (dim,):
         raise ValueError("state length must be 2^N")
+    # one segment bounds building the taylor tables, or the one enumeration
+    _check_budget(h, plan, cfg.method, work_budget)
     if cfg.method == "taylor":
-        # one segment bounds building the tables; all r run on R
-        _check_budget(h, plan, cfg.method, work_budget)
         rec = _Recursion(h, plan, state != 0, plan.r * plan.Q)
-        _check_budget(h, plan, cfg.method, work_budget, plan.r, len(rec.rows))
+        _check_budget(h, plan, cfg.method, work_budget, len(rec.rows))
         phases = np.exp(-1j * plan.delta_t * rec.energies)[:, None]
         shift = np.exp(-1j * plan.delta_t * rec.c)
         sub = state[rec.rows][:, None]
@@ -630,16 +669,9 @@ def evolve(
         state = np.zeros(dim, dtype=complex)
         state[rec.rows] = sub[:, 0]
         return _require_finite(state)
-    reuse = plan.r > 1 and dim * dim <= _MATRIX_REUSE_ENTRIES
-    # the reused matrix is built once; matrix-free runs r segments
-    _check_budget(h, plan, cfg.method, work_budget, 1 if reuse else plan.r)
-    if reuse:
-        mat = uod_matrix(h, g, plan, cfg, work_budget)
-        phases = np.exp(-1j * plan.delta_t * h.diagonal_values())
-        for _ in range(plan.r):
-            state = mat @ (phases * state)
-        return state
+    _check_rows_budget(h, plan, work_budget)
+    rows = _FlipRows(*_path_table(h, plan, cfg, [range(h.m)] * plan.Q))
+    phases = np.exp(-1j * plan.delta_t * h.diagonal_values())
     for _ in range(plan.r):
-        state = apply_diagonal(h, state, plan.delta_t)
-        state = apply_uod_truncated(h, g, plan, state, cfg, work_budget)
-    return state
+        state = rows.apply(phases * state)
+    return _require_finite(state)

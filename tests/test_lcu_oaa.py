@@ -505,6 +505,15 @@ def segment_cases():
 SEGMENT_CONFIGS = [LcuConfig(), LcuConfig(phase_bits=8), LcuConfig(s_override=2.0)]
 
 
+def assert_same_rows(a, b):
+    """Two ``series._FlipRows`` with the same masks and rows, bit for bit."""
+    assert np.array_equal(a.index, b.index)
+    assert np.array_equal(a.rows, b.rows)
+    x = np.linspace(-1.0, 1.0, a.rows.shape[1]) + 0.5j
+    assert np.array_equal(a.apply(x), b.apply(x))
+    assert np.array_equal(a.apply_dagger(x), b.apply_dagger(x))
+
+
 class TestSystemSegment:
     """3V - 4VV'V on the system register against the composite circuit."""
 
@@ -554,32 +563,26 @@ class TestSystemSegment:
             assert diags and np.linalg.norm(out) == pytest.approx(1.0)
 
     def test_phase_precision_rebuild_matches_fresh_build(self):
-        # phase rows and V rebuilt from one path-coefficient table equal a
-        # fresh build at that precision
+        # V rebuilt from one path-coefficient table at another precision
+        # equals a fresh build's V at that precision, bit for bit
         for _, h, g, plan in segment_cases():
             ops = SegmentOperators(h, g, plan, LcuConfig(phase_bits=8))
             for bits in (None, 16):
                 fresh = SegmentOperators(h, g, plan, LcuConfig(phase_bits=bits))
-                other = ops._with_phase_bits(bits)
-                assert other.config == fresh.config
-                assert np.array_equal(other.phases, fresh.phases)
-                assert np.array_equal(other._v_rows, fresh._v_rows)
-                assert np.array_equal(other.gather, fresh.gather)
+                assert_same_rows(ops.flip_rows(bits), fresh.v)
             assert ops.config.phase_bits == 8
-
+            assert_same_rows(ops.flip_rows(8), ops.v)
 
     def test_rebuild_drops_cached_phases(self):
-        # phase rows cached at one precision are not carried to the other
+        # phase rows cached at one precision are not used for V at another
         for _, h, g, plan in segment_cases():
             exact = SegmentOperators(h, g, plan)
             exact.tables(())  # builds and caches the exact phase rows
-            quantized = exact._with_phase_bits(16)
             fresh = SegmentOperators(h, g, plan, LcuConfig(phase_bits=16))
-            assert np.array_equal(quantized.phases, fresh.phases)
-            assert np.array_equal(quantized._v_rows, fresh._v_rows)
-            back, fresh = quantized._with_phase_bits(None), SegmentOperators(h, g, plan)
-            for name in ("phases", "_v_rows", "_v_dagger_rows"):
-                assert np.array_equal(getattr(back, name), getattr(fresh, name))
+            assert_same_rows(exact.flip_rows(16), fresh.v)
+            fresh.tables(())
+            assert_same_rows(fresh.flip_rows(None), exact.v)
+            assert not np.array_equal(exact.phases, fresh.phases)
 
     def test_exact_v_needs_no_phase_rows(self, monkeypatch):
         # with exact phases V's rows come from beta; apply_U_C still gets the

@@ -454,7 +454,7 @@ class TestRecursionVsReference:
         [("taylor", (3, 4), None), ("leibniz", (2,), 3)],
         ids=["taylor", "leibniz"],
     )
-    def test_matrix_columns_are_basis_images(self, method, sizes, q, monkeypatch):
+    def test_matrix_columns_are_basis_images(self, method, sizes, q):
         rng = np.random.default_rng(400)
         cfg = DdConfig(method=method)
         hams = [random_pmr_hamiltonian(rng, n=sizes[0])]
@@ -481,10 +481,6 @@ class TestRecursionVsReference:
                 assert np.max(np.abs(out[:, c] - col)) <= 1e-12
             rec = _apply_recursion(h, plan, block, cfg)
             assert np.max(np.abs(out - rec)) <= 1e-12
-            # deposit chunks that end inside a path's row of entries
-            with monkeypatch.context() as m:
-                m.setattr(series, "_EVAL_CHUNK_ROWS", 97)
-                assert np.max(np.abs(_uod_paths(h, plan, block, cfg) - out)) <= 1e-12
 
     def test_evolve_equals_repeated_segments(self):
         # a hopping chain spreads a basis state one site per flip, so the
@@ -688,6 +684,80 @@ class TestStackedRecursion:
             plan = plan_segments(h, g, t, eps)
             assert tail(plan.Q) <= eps / plan.r < tail(plan.Q - 1)
             assert plan.tail_bound == tail(plan.Q)
+
+
+class TestFlipRows:
+    """U_od as flip rows, the one form of an enumerated segment."""
+
+    def test_repeated_masks_match_dense(self):
+        rng = np.random.default_rng(1200)
+        dim = 16
+        flips = np.array([0, 5, 3, 5, 0, 12, 3, 5])
+        values = rng.normal(size=(len(flips), dim)) + 1j * rng.normal(size=(len(flips), dim))
+        rows = series._FlipRows(flips, values)
+        assert len(rows.rows) == 4
+        # each input row deposits its value at source z into row z ^ f
+        ref = np.zeros((dim, dim), dtype=complex)
+        for f, row in zip(flips.tolist(), values):
+            for z in range(dim):
+                ref[z ^ f, z] += row[z]
+        mat = rows.dense()
+        assert np.max(np.abs(mat - ref)) <= 1e-14
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        for x in (vec, block):
+            assert rows.apply(x).shape == x.shape
+            assert np.max(np.abs(rows.apply(x) - mat @ x)) <= 1e-14
+            assert np.max(np.abs(rows.apply_dagger(x) - mat.conj().T @ x)) <= 1e-14
+
+    def test_evolve_enumerates_paths_once(self, monkeypatch):
+        # 13 qubits is past the dense segment matrix: the r segments apply
+        # the rows of one enumeration, with no oracle at this size
+        n = 13
+        words = [(0.5, "Z" + "I" * 12), (-0.3, "IIZZ" + "I" * 9), (0.4, "X" + "I" * 12),
+                 (0.3, "I" * 5 + "XX" + "I" * 6), (-0.2, "I" * 10 + "YYI")]
+        h = pauli_to_pmr([PauliString.from_word(c, w) for c, w in words])
+        g = gamma_bounds(h)
+        t, eps = 2.0, 5e-2
+        plan = plan_segments(h, g, t, eps)
+        assert h.m <= 3 and plan.r >= 3
+        psi = random_state(np.random.default_rng(1300), n)
+        calls = []
+        path_levels = series._path_levels
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return path_levels(*args, **kwargs)
+
+        monkeypatch.setattr(series, "_path_levels", counted)
+        out = evolve(h, g, psi, t, eps, DdConfig(method="pyramid"))
+        assert len(calls) == 1
+        assert np.linalg.norm(out - evolve(h, g, psi, t, eps)) <= eps
+
+
+    def test_block_enumerates_from_its_support(self, monkeypatch):
+        # paths run only from the block's nonzero rows; the matrix and
+        # evolve enumerate from every source
+        rng = np.random.default_rng(1400)
+        h = random_pmr_hamiltonian(rng, n=4, m_terms=3)
+        g = gamma_bounds(h)
+        plan = plan_segments(h, g, 0.9, 1e-4)
+        cfg = DdConfig(method="leibniz")
+        sources = []
+        path_levels = series._path_levels
+
+        def counted(h, plan, src, *args):
+            sources.append(len(src))
+            return path_levels(h, plan, src, *args)
+
+        monkeypatch.setattr(series, "_path_levels", counted)
+        block = np.zeros((16, 2), dtype=complex)
+        block[[3, 9], 0] = 1.0
+        block[9, 1] = 0.5j
+        out = _uod_paths(h, plan, block, cfg)
+        mat = uod_matrix(h, g, plan, cfg)
+        assert sources == [2, 16]
+        assert np.max(np.abs(out - mat @ block)) <= 1e-13
 
 
 def with_zero_hopping(h):
