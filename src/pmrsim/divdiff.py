@@ -213,7 +213,8 @@ def dd_exp_taylor_batch(seqs: np.ndarray, t: float, tol: float = SERIES_TOL) -> 
     e^{-it[row]} = e^{-it xbar} * (-it)^q/q! * ``_taylor_sum`` of row - xbar,
     with xbar the row mean.  The dropped tail is at most ``tol`` * |t|^q/q!."""
     seqs = np.asarray(seqs, dtype=float)
-    xbar = seqs.mean(axis=1)
+    with np.errstate(over="ignore"):  # an inf mean: ``series_order`` refuses it
+        xbar = seqs.mean(axis=1)
     s = _taylor_sum(seqs - xbar[:, None], t, tol)
     return np.exp(-1j * t * xbar) * exp_prefactor(seqs.shape[1] - 1, t) * s
 

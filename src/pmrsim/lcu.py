@@ -47,7 +47,7 @@ from .divdiff import DdConfig
 from .oracle import DenseOracle
 from .pmr import GammaBounds, PmrHamiltonian
 from .series import (DEFAULT_WORK_BUDGET, LN2, Path, SegmentPlan, _check_path,
-                     _check_rows_budget, _FlipRows, _path_table, _require_finite,
+                     _check_rows_budget, _FlipRows, _path_table, _quiet, _require_finite,
                      apply_diagonal, partial_exp_sum, plan_segments)
 
 __all__ = [
@@ -550,6 +550,7 @@ def _run_segments(
     return _require_finite(sys), diags
 
 
+@_quiet
 def _evolve_lcu_runs(
     h: PmrHamiltonian,
     g: GammaBounds,

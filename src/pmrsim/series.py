@@ -5,34 +5,30 @@ Each segment's off-diagonal factor U_od is the sum over flip paths
 (i_1, ..., i_q), q <= Q, of e^{-i dt [0, dE_1, ..., dE_q]} * prod_j d_{i_j}
 deposited at the flipped basis state.  No ancillas are involved.
 
-One dispatcher, ``_segment``, applies U_od to every column of a (2^N, k)
-block (a state is a one-column block) or builds its dense matrix, prices
-the work and picks one of two engines by method:
+Every route builds U_od once, by ``_uod_operator``, as one of two
+operators with one interface: ``apply`` on the states it acts on
+(``states``), and ``dense``.  ``_segment`` applies it to each column of a
+(2^N, k) block (a state is a one-column block) or makes it dense;
+``evolve`` applies it once per segment after the diagonal phase.
 
-* taylor: the basis-state recursion ``_apply_recursion``.  In Taylor form a
-  path's divided difference is a fixed linear functional of its profile of
-  complete homogeneous symmetric polynomials h_n, and one more flip extends
-  that profile linearly in the new state's energy.  With every energy
-  shifted by one constant (divided differences are shift-covariant), all
-  paths that end at the same state after q flips share one summed profile,
-  so a level is one stacked gather over the terms that hop inside the set
-  R of states reachable from the block, and one product that deposits all
-  degrees: O(Q * M * |R| * n_max) work instead of O(M^Q * 2^N * n_max),
-  in a number of numpy calls that does not grow with M.  The shift c, the
-  degree n_max and the coefficient table come from ``_taylor_table``, and
-  the extension step from the Taylor kernel in ``divdiff``.
-* naive, pyramid, leibniz: nonlinear in the path, so ``_uod_paths``
-  enumerates every path.  It is also the recursion's small-N reference.
+* taylor: the basis-state recursion ``_Recursion`` on the set R of states
+  reachable from the support.  In Taylor form a path's divided difference
+  is a fixed linear functional of its profile of complete homogeneous
+  symmetric polynomials h_n, which one more flip extends linearly in the
+  new state's energy.  With every energy shifted by one constant, all paths
+  that end at the same state after q flips share one summed profile:
+  O(Q * M * |R| * n_max) work instead of O(M^Q * 2^N * n_max).
+* naive, pyramid, leibniz: nonlinear in the path, so every path from the
+  sources is enumerated into ``_FlipRows``, the one form of an enumerated
+  U_od (and of ``lcu``'s V): U_od = sum_f P_f diag(c_f) over the
+  F <= min(P, 2^N) net flip masks f, P = sum_{q<=Q} M^q, merged from the
+  (P, sources) table of ``_path_table``.
 
-An enumerated U_od, like ``lcu``'s V, has one form: its paths summed by
-net flip mask f, U_od = sum_f P_f diag(c_f), as the F <= min(P, 2^N) rows
-of ``_FlipRows`` (P = sum_{q<=Q} M^q), from the (P, 2^N) table of
-``_path_table``.  Its one enumerator, ``_path_levels``, skips paths that are
-zero at every source.  For the taylor method it extends each kept path's
-profile from its parent's by the one new input, with the same
-``_taylor_table`` as the recursion, so a level costs
-O(kept paths * sources * n_max) whatever its length q; the other methods
-evaluate each path's q + 1 inputs afresh.
+The one enumerator, ``_path_levels``, skips paths that are zero at every
+source.  For the taylor method it extends each kept path's profile from
+its parent's by the one new input, with the recursion's ``_taylor_table``,
+so a level costs O(kept paths * sources * n_max) whatever its length q;
+the other methods evaluate each path's q + 1 inputs afresh.
 
 Segment bookkeeping pins the per-segment expansion rate at ln 2: the input
 bounds gamma_i are scaled up (never down) so the working total satisfies
@@ -406,20 +402,20 @@ def _path_levels(
 def _path_table(
     h: PmrHamiltonian, plan: SegmentPlan, config: DdConfig, levels, sources=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative flip masks (P,) and coefficients (P, 2^N) of the empty path
-    and of every path with i_j in ``levels[j-1]``, level by level in
-    lexicographic order: a row holds the path's ``_path_levels`` coefficient
-    from each of ``sources`` (default all 2^N) and zeros elsewhere.  Each
-    level goes into the one preallocated table, never held twice."""
-    dim = 1 << h.n_qubits
-    sources = np.arange(dim) if sources is None else sources
+    """Cumulative flip masks (P,) and coefficients (P, |sources|) of the
+    empty path and of every path with i_j in ``levels[j-1]``, level by level
+    in lexicographic order: column j holds each path's ``_path_levels``
+    coefficient from ``sources[j]`` (default all 2^N states, so column z is
+    source z).  Each level goes into the one preallocated table, never held
+    twice."""
+    sources = np.arange(1 << h.n_qubits) if sources is None else sources
     flips = np.zeros(np.cumprod([1] + [len(terms) for terms in levels]).sum(), dtype=np.int64)
-    table = np.zeros((len(flips), dim), dtype=complex)
-    table[0, sources] = 1.0  # the empty path
+    table = np.zeros((len(flips), len(sources)), dtype=complex)
+    table[0] = 1.0  # the empty path
     lo = 1  # the first row of the level
     for cum, keep, _, coeff in _path_levels(h, plan, sources, config, levels):
         flips[lo:lo + len(cum)] = cum
-        table[lo + keep[:, None], sources] = coeff
+        table[lo + keep] = coeff
         lo += len(cum)
     return flips, table
 
@@ -427,15 +423,22 @@ def _path_table(
 class _FlipRows:
     """A sum of generalized permutations U = sum_f P_f diag(c_f), one row
     c_f(z) per distinct flip mask f, so (U x)[z ^ f] gets c_f(z) x[z] from
-    every f.  Rows that share a mask are merged in their given order by
-    ``np.add.at``; ``index`` holds z ^ f per row and ``rows`` holds c_f(z)
-    by source z."""
+    every f; it acts on all 2^N ``states``.  The input rows hold values from
+    the ``support`` states (a boolean mask; default all).  Rows that share a
+    mask are merged in their given order by ``np.add.at``, then scattered
+    once into 2^N columns; ``index`` holds z ^ f per row and ``rows`` holds
+    c_f(z) by source z."""
 
-    def __init__(self, flips: np.ndarray, rows: np.ndarray):
-        dim = rows.shape[1]
+    states = slice(None)
+
+    def __init__(self, flips: np.ndarray, rows: np.ndarray, support: np.ndarray | None = None):
         masks, group = np.unique(flips, return_inverse=True)
-        self.rows = np.zeros((len(masks), dim), dtype=complex)
-        np.add.at(self.rows, group, rows)
+        self.rows = merged = np.zeros((len(masks), rows.shape[1]), dtype=complex)
+        np.add.at(merged, group, rows)
+        if support is not None:
+            self.rows = np.zeros((len(masks), len(support)), dtype=complex)
+            self.rows[:, support] = merged
+        dim = self.rows.shape[1]
         index_type = np.min_scalar_type(dim - 1)
         self.index = np.arange(dim, dtype=index_type) ^ masks[:, None].astype(index_type)
         self._gathered = np.take_along_axis(self.rows, self.index, axis=1)  # c_f(z ^ f)
@@ -460,45 +463,29 @@ class _FlipRows:
         return out
 
 
-def _uod_paths(
-    h: PmrHamiltonian, plan: SegmentPlan, block: np.ndarray | None, config: DdConfig
-) -> np.ndarray:
-    """Truncated U_od applied to each column of ``block`` (2^N, k), or for
-    ``block`` None its dense matrix, by evaluating every flip path's divided
-    difference with the configured method: the engine of the naive, pyramid
-    and leibniz methods, whose divided differences are nonlinear in the path,
-    and the small-N reference of the taylor recursion.  The paths'
-    coefficients from every row of ``block`` with a nonzero entry (every
-    source for the matrix), summed by flip mask in lexicographic path order
-    into ``_FlipRows``, act as one gather-sum, so outputs are reproducible."""
-    sources = None if block is None else np.flatnonzero(np.any(block != 0, axis=1))
-    rows = _FlipRows(*_path_table(h, plan, config, [range(h.m)] * plan.Q, sources))
-    return rows.dense() if block is None else rows.apply(block)
-
-
 class _Recursion:
-    """Tables of the basis-state recursion over the reachable set R.
+    """U_od by the basis-state recursion over the reachable set R.
 
-    R holds the support states and every state reachable from them within
-    ``flips`` flips whose hopping value d_i at the post-flip state is
-    nonzero.  The set-up fills two (M, 2^N) tables, the flip index z ^ mask_i
-    and whether d_i(z) is nonzero, and grows R by one pass over both per
-    flip.  The G terms that hop inside R, ``terms``, keep in ascending
-    order their source positions ``src_pos`` (G, |R|) and values d_i at R
-    ``coef`` (G, |R|, 1); position |R| points at a zero row.  The shift c,
-    the midpoint of E over R, the shifted energies y = E - c and the table
-    ``pref`` come from ``_taylor_table`` over the energies on R.
+    R, ``states``, holds the support states and every state reachable from
+    them within ``flips`` flips whose hopping value d_i at the post-flip
+    state is nonzero.  The set-up fills two (M, 2^N) tables, the flip index
+    z ^ mask_i and whether d_i(z) is nonzero, and grows R by one pass over
+    both per flip.  The G terms that hop inside R, ``terms``, keep in
+    ascending order their source positions ``src_pos`` (G, |R|) and values
+    d_i at R ``coef`` (G, |R|, 1); position |R| points at a zero row.  The
+    shifted energies y = E - c and the table ``pref`` come from
+    ``_taylor_table`` over the energies on R.
     """
 
     def __init__(
         self, h: PmrHamiltonian, plan: SegmentPlan, support: np.ndarray, flips: int
     ):
         dim = 1 << h.n_qubits
-        states = np.arange(dim)
+        basis = np.arange(dim)
         src = np.empty((h.m, dim), dtype=np.intp)
         hop = np.empty((h.m, dim), dtype=bool)
         for i, mask in enumerate(h.x_masks().tolist()):
-            np.bitwise_xor(states, mask, out=src[i])
+            np.bitwise_xor(basis, mask, out=src[i])
             np.not_equal(h.term_values(i), 0, out=hop[i])
         reach = support.copy()
         for _ in range(flips):
@@ -506,21 +493,37 @@ class _Recursion:
             if np.array_equal(grown, reach):
                 break
             reach = grown
-        self.rows = np.flatnonzero(reach)
-        n_rows = len(self.rows)
+        self.states = np.flatnonzero(reach)
+        n_rows = len(self.states)
         pos = np.full(dim, n_rows)
-        pos[self.rows] = np.arange(n_rows)
-        src_pos = pos[src[:, self.rows]]
+        pos[self.states] = np.arange(n_rows)
+        src_pos = pos[src[:, self.states]]
         inside = src_pos < n_rows
-        self.terms = np.flatnonzero(np.any(inside & hop[:, self.rows], axis=1))
+        self.terms = np.flatnonzero(np.any(inside & hop[:, self.states], axis=1))
         self.src_pos = src_pos[self.terms]
         self.coef = np.empty((len(self.terms), n_rows, 1), dtype=complex)
         for j, i in enumerate(self.terms.tolist()):
-            self.coef[j, :, 0] = np.where(inside[i], h.term_values(i)[self.rows], 0.0)
+            self.coef[j, :, 0] = np.where(inside[i], h.term_values(i)[self.states], 0.0)
 
-        self.energies = h.diagonal_values()[self.rows]
-        self.c, y, self.pref = _taylor_table(self.energies, plan.delta_t, plan.Q)
+        _, y, self.pref = _taylor_table(h.diagonal_values()[self.states], plan.delta_t, plan.Q)
         self.y = y[:, None]
+        self.lift = np.exp(1j * plan.delta_t * self.y)  # e^{i dt y_z}: a source's weight
+        self.dim = dim
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """U_od x for x (|R|,) or (|R|, k) on R: the empty path plus the
+        ``sweep`` from each source z weighted e^{i dt y_z}."""
+        block = x if x.ndim == 2 else x[:, None]
+        out = block.copy()  # the empty path
+        self.sweep(out, self.lift * block)
+        return out.reshape(x.shape)
+
+    def dense(self) -> np.ndarray:
+        """The 2^N x 2^N matrix of ``apply``: U_od between the states of R,
+        zero in every other row and column."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[np.ix_(self.states, self.states)] = self.apply(np.eye(len(self.states), dtype=complex))
+        return out
 
     def sweep(self, out: np.ndarray, start: np.ndarray) -> None:
         """Add the flip-path sums for q = 1..Q to ``out`` (|R|, k) in place.
@@ -561,34 +564,43 @@ class _Recursion:
             prof, nxt = nxt, prof
 
 
-def _apply_recursion(
-    h: PmrHamiltonian, plan: SegmentPlan, block: np.ndarray, config: DdConfig
-) -> np.ndarray:
-    """Truncated U_od applied to each column of ``block`` (2^N, k), or to
-    the identity for ``block`` None, by the basis-state recursion."""
-    block = np.eye(1 << h.n_qubits, dtype=complex) if block is None else block
-    rec = _Recursion(h, plan, np.any(block != 0, axis=1), plan.Q)
-    sub = block[rec.rows]
-    out = sub.copy()  # the empty path
-    rec.sweep(out, np.exp(1j * plan.delta_t * rec.y) * sub)
-    full = np.zeros_like(block)
-    full[rec.rows] = out
-    return full
+def _uod_operator(h: PmrHamiltonian, plan: SegmentPlan, config: DdConfig, support, flips):
+    """U_od built once for the configured method, with ``apply`` on the
+    states it acts on (``states``) and ``dense``: the taylor recursion over
+    the states reachable from ``support`` within ``flips`` flips, or for the
+    other methods the flip rows of every path from the ``support`` states."""
+    if config.method == "taylor":
+        return _Recursion(h, plan, support, flips)
+    table = _path_table(h, plan, config, [range(h.m)] * plan.Q, np.flatnonzero(support))
+    return _FlipRows(*table, support)
 
 
+# a non-finite series result raises SeriesConvergenceError in
+# ``_require_finite``; numpy's warnings on the way would only repeat it
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet
 def _segment(
     h: PmrHamiltonian, g: GammaBounds, plan: SegmentPlan, block: np.ndarray | None,
     config: DdConfig | None, work_budget: int,
 ) -> np.ndarray:
     """Truncated U_od applied to each column of ``block`` (2^N, k), or for
-    ``block`` None its dense matrix: the taylor recursion for the taylor
-    method, path enumeration for the others."""
+    ``block`` None its dense matrix: priced, built once from the block's
+    nonzero rows (every state for the matrix) by ``_uod_operator``, then
+    applied or made dense."""
     if len(g.gamma) != h.m:
         raise ValueError(f"got {len(g.gamma)} bounds for M={h.m} terms")
     cfg = config or DdConfig()
     _check_budget(h, plan, cfg.method, work_budget)
-    engine = _apply_recursion if cfg.method == "taylor" else _uod_paths
-    return _require_finite(engine(h, plan, block, cfg))
+    dim = 1 << h.n_qubits
+    support = np.ones(dim, dtype=bool) if block is None else np.any(block != 0, axis=1)
+    op = _uod_operator(h, plan, cfg, support, plan.Q)
+    if block is None:
+        return _require_finite(op.dense())
+    out = np.zeros_like(block)
+    out[op.states] = op.apply(block[op.states])
+    return _require_finite(out)
 
 
 def apply_uod_truncated(
@@ -615,14 +627,14 @@ def uod_matrix(
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> np.ndarray:
     """Dense matrix of the truncated off-diagonal segment factor (small N):
-    the taylor recursion applied to the identity block, or for the other
-    methods the enumerated flip rows scattered into the matrix, never
-    applied to an identity block of F * 4^N gathered entries."""
+    ``dense`` of the operator built on every state, the taylor recursion
+    applied to the identity or the flip rows scattered into the matrix."""
     if h.n_qubits > 12:
         raise ValueError("dense segment matrix limited to N <= 12")
     return _segment(h, g, plan, None, config, work_budget)
 
 
+@_quiet
 def evolve(
     h: PmrHamiltonian,
     g: GammaBounds,
@@ -635,16 +647,15 @@ def evolve(
 ) -> np.ndarray:
     """Run r segments of diagonal phase followed by the truncated U_od.
 
-    Diagonal-only Hamiltonians evolve exactly in one shot.  The taylor
-    method runs the basis-state recursion on the state, with its tables
-    built once over every state the r segments can reach; the diagonal
-    phase folds into it, since e^{-i dt E_z} times the recursion's source
-    factor e^{i dt (E_z - c)} is the global e^{-i dt c}.  The other methods
-    enumerate the paths once into U_od's F <= min(P, 2^N) flip rows,
-    P = sum_{q<=Q} M^q, and apply them after each segment's diagonal phase.
-    The work budget prices all r segments before any path is evaluated: the
-    recursion's on the reachable set R; for the other methods, one
-    enumeration M^Q * 2^N and r applies of the rows.
+    Diagonal-only Hamiltonians evolve exactly in one shot.  Otherwise U_od
+    is built once by ``_uod_operator`` and each segment applies it after the
+    diagonal phase, on the states it acts on: the taylor recursion on every
+    state the r segments can reach from the state's support, the other
+    methods' F <= min(P, 2^N) flip rows, P = sum_{q<=Q} M^q, enumerated from
+    every source, on all 2^N states.  The work budget prices all r segments
+    before any path is evaluated: the recursion's on the reachable set R;
+    for the other methods, one enumeration M^Q * 2^N and r applies of the
+    rows.
     """
     state = np.asarray(state, dtype=complex)
     plan = plan_segments(h, g, t, epsilon, q_override=q_override)
@@ -657,21 +668,15 @@ def evolve(
     # one segment bounds building the taylor tables, or the one enumeration
     _check_budget(h, plan, cfg.method, work_budget)
     if cfg.method == "taylor":
-        rec = _Recursion(h, plan, state != 0, plan.r * plan.Q)
-        _check_budget(h, plan, cfg.method, work_budget, len(rec.rows))
-        phases = np.exp(-1j * plan.delta_t * rec.energies)[:, None]
-        shift = np.exp(-1j * plan.delta_t * rec.c)
-        sub = state[rec.rows][:, None]
-        for _ in range(plan.r):
-            out = phases * sub  # the empty path
-            rec.sweep(out, shift * sub)
-            sub = out
-        state = np.zeros(dim, dtype=complex)
-        state[rec.rows] = sub[:, 0]
-        return _require_finite(state)
-    _check_rows_budget(h, plan, work_budget)
-    rows = _FlipRows(*_path_table(h, plan, cfg, [range(h.m)] * plan.Q))
-    phases = np.exp(-1j * plan.delta_t * h.diagonal_values())
+        op = _uod_operator(h, plan, cfg, state != 0, plan.r * plan.Q)
+        _check_budget(h, plan, cfg.method, work_budget, len(op.states))
+    else:  # the r applies of the rows, before they are enumerated from every source
+        _check_rows_budget(h, plan, work_budget)
+        op = _uod_operator(h, plan, cfg, np.ones(dim, dtype=bool), plan.Q)
+    phases = np.exp(-1j * plan.delta_t * h.diagonal_values()[op.states])
+    sub = state[op.states]
     for _ in range(plan.r):
-        state = rows.apply(phases * state)
+        sub = op.apply(phases * sub)
+    state = np.zeros(dim, dtype=complex)
+    state[op.states] = sub
     return _require_finite(state)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from pmrsim import (
 )
 from pmrsim import divdiff, series
 from pmrsim.divdiff import _add_input
+from pmrsim.lcu import evolve_lcu
 from pmrsim.pmr import DiagonalOperator, PermutationOperator, PmrHamiltonian, hopping_strength
-from pmrsim.series import DEFAULT_WORK_BUDGET, LN2, _apply_recursion, _uod_paths
+from pmrsim.series import DEFAULT_WORK_BUDGET, LN2
 
 LADDER = pauli_to_pmr(parse_hamiltonian("1.0 Z\n1.0 X\n"))
 LADDER_G = gamma_bounds(LADDER)
@@ -373,9 +375,32 @@ def number_conserving_hamiltonian(rng, n):
     return pauli_to_pmr(strings)
 
 
+def applied(op, block):
+    """A U_od operator applied to each column of ``block`` (2^N, k) on the
+    states it acts on, zero on the others."""
+    out = np.zeros_like(block)
+    out[op.states] = op.apply(block[op.states])
+    return out
+
+
+def enumerated(h, plan, block, cfg):
+    """The truncated U_od applied to each column of ``block`` by the flip
+    rows of every path from its nonzero rows, evaluated with ``cfg``'s
+    method, taylor included."""
+    support = np.any(block != 0, axis=1)
+    table = series._path_table(h, plan, cfg, [range(h.m)] * plan.Q, np.flatnonzero(support))
+    return applied(series._FlipRows(*table, support), block)
+
+
+def recursion(h, plan, block):
+    """The truncated U_od applied to each column of ``block`` by the
+    basis-state recursion, built on the block's nonzero rows."""
+    return applied(series._Recursion(h, plan, np.any(block != 0, axis=1), plan.Q), block)
+
+
 def reference_segment(h, plan, psi):
     """The truncated U_od by explicit path enumeration (taylor evaluator)."""
-    return _uod_paths(h, plan, psi[:, None], DdConfig())[:, 0]
+    return enumerated(h, plan, psi[:, None], DdConfig())[:, 0]
 
 
 def source_states(rng, n):
@@ -416,8 +441,8 @@ class TestRecursionVsReference:
             for t in (1.3, -1.3):
                 plan = plan_segments(h, g, t, 1e-5, q_override=4)
                 block = np.stack(source_states(rng, h.n_qubits), axis=1)
-                ref = _uod_paths(h, plan, block, DdConfig("leibniz"))
-                out = _apply_recursion(h, plan, block, DdConfig())
+                ref = enumerated(h, plan, block, DdConfig("leibniz"))
+                out = recursion(h, plan, block)
                 assert np.max(np.abs(out - ref)) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -469,17 +494,17 @@ class TestRecursionVsReference:
                 e_z[z] = 1.0
                 col = apply_uod_truncated(h, g, plan, e_z, cfg)
                 assert np.max(np.abs(mat[:, z] - col)) <= 1e-12
-            ref = _uod_paths(h, plan, np.eye(dim, dtype=complex), DdConfig())
+            ref = enumerated(h, plan, np.eye(dim, dtype=complex), DdConfig())
             assert np.max(np.abs(mat - ref)) <= 1e-12
             # a block with zero rows and zero entries: each column on its own
             block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
             block[rng.random((dim, 3)) < 0.3] = 0.0
             block[[0, dim - 1]] = 0.0
-            out = _uod_paths(h, plan, block, cfg)
+            out = enumerated(h, plan, block, cfg)
             for c in range(3):
-                col = _uod_paths(h, plan, block[:, c:c + 1], cfg)[:, 0]
+                col = enumerated(h, plan, block[:, c:c + 1], cfg)[:, 0]
                 assert np.max(np.abs(out[:, c] - col)) <= 1e-12
-            rec = _apply_recursion(h, plan, block, cfg)
+            rec = recursion(h, plan, block)
             assert np.max(np.abs(out - rec)) <= 1e-12
 
     def test_evolve_equals_repeated_segments(self):
@@ -581,13 +606,13 @@ def with_term_zero_on_sector(h, n):
 def stacked_sweep_reference(h, rec, start):
     """``_Recursion.sweep`` as one gather per term in ascending term order,
     with the same deposit product: the stacked sweep must equal it bitwise."""
-    n_rows = len(rec.rows)
+    n_rows = len(rec.states)
     pos = np.full(1 << h.n_qubits, n_rows)
-    pos[rec.rows] = np.arange(n_rows)
+    pos[rec.states] = np.arange(n_rows)
     terms = []
     for i, mask in enumerate(h.x_masks()):
-        src_pos = pos[rec.rows ^ mask]
-        coef = np.where(src_pos < n_rows, h.term_values(i)[rec.rows], 0.0)[:, None]
+        src_pos = pos[rec.states ^ mask]
+        coef = np.where(src_pos < n_rows, h.term_values(i)[rec.states], 0.0)[:, None]
         if np.any(coef != 0):
             terms.append((src_pos, coef))
     n_deg = rec.pref.shape[1]
@@ -626,14 +651,14 @@ class TestStackedRecursion:
             for support in ([0b111], [0b1011, 0b10101 & ((1 << n) - 1)], [0, 1]):
                 for flips in (0, 1, 2, plan.Q, 4 * plan.Q):
                     rec = series._Recursion(h, plan, mask_of(n, *support), flips)
-                    assert rec.rows.tolist() == reachable_states(h, support, flips)
+                    assert rec.states.tolist() == reachable_states(h, support, flips)
         # the extra term of the last Hamiltonian is zero on the three-particle
         # sector: R stays in it, and the term gets no gather
         h = hams[-1]
         plan = plan_segments(h, gamma_bounds(h), 0.9, 1e-4)
         rec = series._Recursion(h, plan, mask_of(n, 0b111), 4 * plan.Q)
         assert h.m - 1 not in rec.terms and len(rec.src_pos) == len(rec.terms)
-        assert all(bin(z).count("1") == 3 for z in rec.rows.tolist())
+        assert all(bin(z).count("1") == 3 for z in rec.states.tolist())
 
     @pytest.mark.parametrize("seed", range(3))
     def test_stacked_sweep_equals_per_term_loop(self, seed):
@@ -644,7 +669,7 @@ class TestStackedRecursion:
             block = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
             block[rng.random(1 << n) < 0.5] = 0.0
             rec = series._Recursion(h, plan, np.any(block != 0, axis=1), plan.Q)
-            start = np.exp(1j * plan.delta_t * rec.y) * block[rec.rows]
+            start = np.exp(1j * plan.delta_t * rec.y) * block[rec.states]
             out = np.zeros_like(start)
             rec.sweep(out, start)
             assert np.array_equal(out, stacked_sweep_reference(h, rec, start))
@@ -661,16 +686,15 @@ class TestStackedRecursion:
         block[rng.random((1 << n, 3)) < 0.3] = 0.0
         block[[0, 5, (1 << n) - 1]] = 0.0
         psi = random_state(rng, n)
-        cfg = DdConfig()
-        one_group = _apply_recursion(h, plan, block, cfg)
+        one_group = recursion(h, plan, block)
         evolved = evolve(h, g, psi, 2.5, 1e-8)
         rec = series._Recursion(h, plan, np.any(block != 0, axis=1), plan.Q)
         assert len(rec.src_pos) > 3 and len(rec.src_pos) % 3
-        three = 3 * rec.pref.shape[1] * len(rec.rows) * 3
+        three = 3 * rec.pref.shape[1] * len(rec.states) * 3
         for cap in (1, three):
             with monkeypatch.context() as m:
                 m.setattr(series, "_EVAL_CHUNK_ROWS", cap)
-                assert np.array_equal(_apply_recursion(h, plan, block, cfg), one_group)
+                assert np.array_equal(recursion(h, plan, block), one_group)
                 if cap == 1:
                     assert np.array_equal(evolve(h, g, psi, 2.5, 1e-8), evolved)
 
@@ -734,6 +758,32 @@ class TestFlipRows:
         assert len(calls) == 1
         assert np.linalg.norm(out - evolve(h, g, psi, t, eps)) <= eps
 
+    def test_evolve_builds_recursion_once(self, monkeypatch):
+        # a three-particle state reaches the C(5, 3) = 10 states of its
+        # sector: taylor evolve builds one recursion on them, and each of the
+        # r segments applies it to those 10 rows, not to all 2^5
+        h = number_conserving_hamiltonian(np.random.default_rng(500), 5)
+        g = gamma_bounds(h)
+        plan = plan_segments(h, g, 4.0, 1e-6)
+        psi = np.zeros(32, dtype=complex)
+        psi[0b01011] = 1.0
+        builds, rows = [], []
+        recursion_type, apply = series._Recursion, series._Recursion.apply
+
+        def built(*args):
+            builds.append(recursion_type(*args))
+            return builds[-1]
+
+        def counted(self, x):
+            rows.append(len(x))
+            return apply(self, x)
+
+        monkeypatch.setattr(series._Recursion, "apply", counted)
+        monkeypatch.setattr(series, "_Recursion", built)
+        out = evolve(h, g, psi, 4.0, 1e-6)
+        assert len(builds) == 1 and len(builds[0].states) == 10
+        assert plan.r > 1 and rows == [10] * plan.r
+        assert np.linalg.norm(out - DenseOracle(h).evolve(psi, 4.0)) <= 1e-6
 
     def test_block_enumerates_from_its_support(self, monkeypatch):
         # paths run only from the block's nonzero rows; the matrix and
@@ -743,20 +793,28 @@ class TestFlipRows:
         g = gamma_bounds(h)
         plan = plan_segments(h, g, 0.9, 1e-4)
         cfg = DdConfig(method="leibniz")
-        sources = []
-        path_levels = series._path_levels
+        sources, columns = [], []
+        path_levels, path_table = series._path_levels, series._path_table
 
         def counted(h, plan, src, *args):
             sources.append(len(src))
             return path_levels(h, plan, src, *args)
 
+        def tabled(*args):
+            flips, table = path_table(*args)
+            columns.append(table.shape[1])
+            return flips, table
+
         monkeypatch.setattr(series, "_path_levels", counted)
+        monkeypatch.setattr(series, "_path_table", tabled)
         block = np.zeros((16, 2), dtype=complex)
         block[[3, 9], 0] = 1.0
         block[9, 1] = 0.5j
-        out = _uod_paths(h, plan, block, cfg)
+        out = series._segment(h, g, plan, block, cfg, DEFAULT_WORK_BUDGET)
         mat = uod_matrix(h, g, plan, cfg)
         assert sources == [2, 16]
+        # the block's table holds the columns of its two sources only
+        assert columns == [2, 16]
         assert np.max(np.abs(out - mat @ block)) <= 1e-13
 
 
@@ -784,7 +842,7 @@ def path_level_cases():
 
 
 class TestPathLevels:
-    """The path enumerator shared by ``_uod_paths`` and ``lcu``."""
+    """The path enumerator shared by the enumerated segment and ``lcu``."""
 
     @staticmethod
     def levels(h, sources, t, cfg, depth=4):
@@ -872,29 +930,48 @@ def test_evolve_within_epsilon_of_oracle(seed, n, m_terms, T, sign):
     assert np.linalg.norm(out - DenseOracle(h).evolve(psi, t)) <= eps
 
 
+def field_chain(f):
+    """4 qubits: a Z field ``f`` on every qubit and XX hoppings 0.3, 0.3
+    and 0.2."""
+    fields = "".join(f"{f} {word}\n" for word in ("ZIII", "IZII", "IIZI", "IIIZ"))
+    return pauli_to_pmr(parse_hamiltonian(fields + "0.3 XXII\n0.3 IXXI\n0.2 IIXX\n"))
+
+
 class TestNonFiniteResult:
     """A Z field of 20 on every qubit makes |dt| * spread(E) / 2 so large
     that the taylor route's h_n profile overflows float64."""
 
-    H = pauli_to_pmr(
-        parse_hamiltonian(
-            "20 ZIII\n20 IZII\n20 IIZI\n20 IIIZ\n0.3 XXII\n0.3 IXXI\n0.2 IIXX\n"
-        )
-    )
+    H = field_chain(20)
 
     def test_evolve_raises(self):
         g = gamma_bounds(self.H)
         psi = random_state(np.random.default_rng(600), 4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SeriesConvergenceError, match="not finite"):
-                evolve(self.H, g, psi, 3.0, 1e-6)
+        with pytest.raises(SeriesConvergenceError, match="not finite"):
+            evolve(self.H, g, psi, 3.0, 1e-6)
 
     def test_segment_raises(self):
         g = gamma_bounds(self.H)
         plan = plan_segments(self.H, g, 3.0, 1e-6)
         psi = random_state(np.random.default_rng(601), 4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SeriesConvergenceError, match="not finite"):
-                apply_uod_truncated(self.H, g, plan, psi)
-            with pytest.raises(SeriesConvergenceError, match="not finite"):
-                uod_matrix(self.H, g, plan)
+        with pytest.raises(SeriesConvergenceError, match="not finite"):
+            apply_uod_truncated(self.H, g, plan, psi)
+        with pytest.raises(SeriesConvergenceError, match="not finite"):
+            uod_matrix(self.H, g, plan)
+
+    @pytest.mark.parametrize("f", [10, 20])
+    def test_no_warning_on_the_way(self, f):
+        # the library silences numpy's overflow and invalid-value warnings
+        # that end in SeriesConvergenceError; a field of 10 stays within eps
+        h = field_chain(f)
+        g = gamma_bounds(h)
+        psi = random_state(np.random.default_rng(2), 4)
+        ref = DenseOracle(h).evolve(psi, 3.0)
+        runs = [lambda: evolve(h, g, psi, 3.0, 1e-4), lambda: evolve_lcu(h, g, psi, 3.0, 1e-4)[0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in runs:
+                if f == 20:
+                    with pytest.raises(SeriesConvergenceError, match="not finite"):
+                        run()
+                else:
+                    assert np.linalg.norm(run() - ref) <= 1e-4
