@@ -191,20 +191,21 @@ def _taylor_sum(y: np.ndarray, t: float, tol: float) -> np.ndarray:
     of ``y`` (rows, q+1), for rows near 0.  The profile h_0..h_{n_max}
     starts at h_0 = 1 and takes a row's inputs one at a time (Gupta, Barash
     & Hen, Comput. Phys. Commun. 254, 2020), to the ``series_order`` degree
-    of the largest |t| * |y|.  The coefficient row starts at 1, so nothing
-    underflows at large q; for real t each coefficient is real or imaginary,
-    so the sum is two real matrix-vector products."""
+    of the largest |t * y|.  It takes the inputs t * y, since h_n(t * y) =
+    t^n h_n(y), against the coefficient row at t = 1: a huge |y| at a small
+    |t * y| does not overflow.  The row starts at 1, so nothing underflows
+    at large q; each coefficient is real or imaginary: two real products."""
     rows, width = y.shape
     q = width - 1
     ymax = float(np.max(np.abs(y))) if rows else 0.0
     if q == 0 or t == 0.0 or ymax == 0.0:
         return np.ones(rows, dtype=complex)
-    n_max = series_order(abs(t) * ymax, tol)
+    n_max = series_order(abs(t) * ymax, tol)  # so t * y is finite
     h = np.zeros((n_max + 1, rows))
     h[0] = 1.0
-    for col in y.T:
+    for col in (t * y).T:
         _add_input(h, col)
-    r = _taylor_row(1.0, q, n_max, t)
+    r = _taylor_row(1.0, q, n_max, 1.0)
     return r.real @ h + 1j * (r.imag @ h)
 
 

@@ -25,13 +25,13 @@ system-register segment is checked against; no run goes through it.
 
 Everything is plain state-vector arithmetic, and no operator is
 materialized densely.  Each SegmentOperators divides the path table it
-shares with ``series`` (``series._path_table``) in place by the path
-weights.  A path that is zero at every source is not evaluated and gets
-beta = 0.  It keeps one flip mask per ancilla index and V at its phase
-precision; ``flip_rows`` builds V at another precision from the same
-coefficients.  With exact phases V's rows come straight from beta; a phase
-row per ancilla index is built for quantized phases and for the composite
-reference.
+shares with ``series`` (``series._path_table``: every path of up to Q
+flips over all M terms) in place by the path weights.  A path that is zero
+at every source is not evaluated and gets beta = 0.  It keeps one flip
+mask per ancilla index and V at its phase precision; ``flip_rows`` builds
+V at another precision from the same coefficients.  With exact phases V's
+rows come straight from beta; a phase row per ancilla index is built for
+quantized phases and for the composite reference.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ import numpy as np
 from .divdiff import DdConfig
 from .oracle import DenseOracle
 from .pmr import GammaBounds, PmrHamiltonian
-from .series import (DEFAULT_WORK_BUDGET, LN2, Path, SegmentPlan, _check_path,
-                     _check_rows_budget, _FlipRows, _path_table, _quiet, _require_finite,
-                     apply_diagonal, partial_exp_sum, plan_segments)
+from .series import (DEFAULT_WORK_BUDGET, LN2, SegmentPlan, _check_rows_budget, _FlipRows,
+                     _norm, _path_table, _quiet, _require_finite, apply_diagonal,
+                     partial_exp_sum, plan_segments)
 
 __all__ = [
     "AncillaLayout",
@@ -58,7 +58,6 @@ __all__ = [
     "prepare_psi0",
     "psi0_unary_cascade",
     "apply_B",
-    "compute_phase_angles",
     "apply_U_C",
     "apply_reflection",
     "apply_W",
@@ -151,7 +150,7 @@ class CompositeState:
         return self.amplitudes[a * dim : (a + 1) * dim]
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
     def copy(self) -> "CompositeState":
         return CompositeState(self.amplitudes.copy(), self.layout, self.n_qubits)
@@ -209,7 +208,7 @@ def psi0_unary_cascade(
         if q > 0:
             amp *= rate / q  # (Gamma dt)^q / q!
         vec[q] = math.sqrt(amp)
-    return vec / np.sqrt(np.sum(vec * vec))
+    return vec / _norm(vec)
 
 
 def prepare_psi0(
@@ -234,7 +233,7 @@ def prepare_psi0(
         fan = np.outer(fan, frac).reshape(-1)
         amps.append(ladder[q] * fan)
     vec = np.repeat(np.concatenate(amps), 2) / math.sqrt(2.0)
-    norm = np.sqrt(np.sum(vec * vec))  # fixed order, unlike a threaded BLAS dot
+    norm = _norm(vec)
     if norm == 0.0:
         raise ValueError("degenerate weight state (all bounds zero)")
     return vec / norm
@@ -265,23 +264,18 @@ def _quantize_angle(theta: np.ndarray, bits: int) -> np.ndarray:
 
 
 def _path_betas(
-    h: PmrHamiltonian,
-    gam: np.ndarray,
-    plan: SegmentPlan,
-    dd: DdConfig,
-    levels,
+    h: PmrHamiltonian, gam: np.ndarray, plan: SegmentPlan, dd: DdConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative flip masks (P,) and path coefficients beta (P, 2^N) of the
-    empty path and of every path with i_j in ``levels[j-1]``, level by level
-    in lexicographic order.  beta is the ``series._path_table`` coefficient
-    over the path weight gamma_path |dt|^q / q!, so it does not depend on the
-    phase precision; a path that table leaves zero, or whose weight is zero,
-    gets beta = 0.  The table is divided in place, so it is never held
-    twice."""
-    flips, betas = _path_table(h, plan, dd, levels)
+    """Cumulative flip masks (P,) and path coefficients beta (P, 2^N) of all
+    P = sum_{q<=Q} M^q paths of up to Q flips, in ``AncillaLayout.paths()``
+    order.  beta is the ``series._path_table`` coefficient over the path
+    weight gamma_path |dt|^q / q!, so it does not depend on the phase
+    precision; a path that table leaves zero, or whose weight is zero, gets
+    beta = 0.  The table is divided in place, so it is never held twice."""
+    flips, betas = _path_table(h, plan, dd)
     weight, gam_path = [np.ones(1)], np.ones(1)
-    for q, terms in enumerate(levels, start=1):
-        gam_path = np.outer(gam_path, gam[list(terms)]).reshape(-1)
+    for q in range(1, plan.Q + 1):
+        gam_path = np.outer(gam_path, gam).reshape(-1)
         weight.append(gam_path * abs(plan.delta_t) ** q / math.factorial(q))
     weight = np.concatenate(weight)[:, None]
     np.divide(betas, weight, out=betas, where=weight != 0.0)
@@ -301,28 +295,6 @@ def _phase_pair(beta: np.ndarray, phase_bits: int | None) -> np.ndarray:
     if phase_bits is not None:
         theta = _quantize_angle(theta, phase_bits)
     return np.exp(1j * theta)
-
-
-def compute_phase_angles(
-    h: PmrHamiltonian,
-    g: GammaBounds,
-    plan: SegmentPlan,
-    z: int,
-    path: Path,
-    config: LcuConfig | None = None,
-) -> tuple[float, float]:
-    """(chi, phi) with beta = cos(phi) e^{i chi} for one path and source.
-
-    With finite phase_bits both chi +/- phi are first rounded to the b-bit
-    grid; the returned pair reconstructs the quantized beta.
-    """
-    config = config or LcuConfig()
-    indices = tuple(path.indices)
-    _check_path(h, plan, z, indices)
-    gam, _ = lcu_weights(g, plan, config)
-    _, beta = _path_betas(h, gam, plan, config.dd, [[i] for i in indices])
-    theta0, theta1 = np.angle(_phase_pair(beta[-1:], config.phase_bits)[:, z]).tolist()
-    return 0.5 * (theta0 + theta1), 0.5 * (theta0 - theta1)
 
 
 class SegmentOperators:
@@ -348,7 +320,7 @@ class SegmentOperators:
         self.gam, self.s = lcu_weights(g, plan, self.config)
         self.psi0 = prepare_psi0(g, plan, self.config)
         self._energies = h.diagonal_values()
-        cum, self._beta = _path_betas(h, self.gam, plan, self.config.dd, [range(h.m)] * plan.Q)
+        cum, self._beta = _path_betas(h, self.gam, plan, self.config.dd)
         self.flips = np.repeat(cum, 2)
         self.v = self.flip_rows(self.config.phase_bits)
 
@@ -471,10 +443,10 @@ def _segment_diagnostics(
     """Ancilla-zero weight of the output block and, when a dense oracle is
     supplied, the trace distance between it and the ideal short-time
     evolution of the (normalized) input."""
-    weight = float(np.linalg.norm(out)) ** 2
+    weight = _norm(out) ** 2
     residual = None
     if oracle is not None:
-        norm_in = np.linalg.norm(sys_in)
+        norm_in = _norm(sys_in)
         if norm_in > 0:
             ideal = oracle.evolve(sys_in / norm_in, ops.plan.delta_t)
             residual = _trace_distance_pure(out / norm_in, ideal)
@@ -498,7 +470,7 @@ def oaa_segment(
     the trace distance between the traced-out post-selected state and the
     ideal short-time evolution of the (normalized) input.
     """
-    off_weight = state.norm() ** 2 - float(np.linalg.norm(state.block(0))) ** 2
+    off_weight = state.norm() ** 2 - _norm(state.block(0)) ** 2
     if off_weight > 1e-9:
         raise ValueError("oaa_segment expects the ancilla in |0...0>")
     sys_in = state.block(0).copy()
@@ -520,7 +492,7 @@ def _amplified(
     diagnostics of ``oaa_segment``."""
     vx = v.apply(ops.diagonal_phases() * system)
     out = 3.0 * vx - 4.0 * v.apply(v.apply_dagger(vx))
-    in_weight = float(np.linalg.norm(system)) ** 2
+    in_weight = _norm(system) ** 2
     return out, _segment_diagnostics(ops, system, in_weight, out, oracle)
 
 
@@ -543,7 +515,7 @@ def _run_segments(
     for _ in range(ops.plan.r):
         sys, diag = _amplified(sys, ops, v, oracle)
         diags.append(diag)
-        norm = np.linalg.norm(sys)
+        norm = _norm(sys)
         if norm == 0.0:
             raise ArithmeticError("post-selection lost all amplitude")
         sys = sys / norm

@@ -24,11 +24,13 @@ operators with one interface: ``apply`` on the states it acts on
   F <= min(P, 2^N) net flip masks f, P = sum_{q<=Q} M^q, merged from the
   (P, sources) table of ``_path_table``.
 
-The one enumerator, ``_path_levels``, skips paths that are zero at every
-source.  For the taylor method it extends each kept path's profile from
-its parent's by the one new input, with the recursion's ``_taylor_table``,
-so a level costs O(kept paths * sources * n_max) whatever its length q;
-the other methods evaluate each path's q + 1 inputs afresh.
+The one enumerator, ``_path_levels``, has one shape for ``series`` and
+``lcu`` alike: every path of up to Q flips over all M terms, level by
+level, skipping the paths that are zero at every source.  For the taylor
+method it extends each kept path's profile from its parent's by the one
+new input, with the recursion's ``_taylor_table``, so a level costs
+O(kept paths * sources * n_max) whatever its length q; the other methods
+evaluate each path's q + 1 inputs afresh.
 
 Segment bookkeeping pins the per-segment expansion rate at ln 2: the input
 bounds gamma_i are scaled up (never down) so the working total satisfies
@@ -90,16 +92,16 @@ class WorkBudgetExceededError(RuntimeError):
 
 
 @functools.lru_cache(maxsize=1024)
-def series_tail(order: int, x: float = LN2) -> float:
-    """Upper bound on sum_{q > order} x^q / q! with a geometric remainder cap.
+def series_tail(order: int) -> float:
+    """Upper bound on sum_{q > order} x^q / q! at the segment rate x = ln 2,
+    with a geometric remainder cap: once the next term's geometric series
+    (ratio below x / (k + 1) < 1) is under 1e-17 of the sum, it is added.
 
-    A pure function of (order, x), memoized: ``truncation_order`` asks for
+    A pure function of the order, memoized: ``truncation_order`` asks for
     every order up to Q on each plan."""
-    if x == 0.0:
-        return 0.0
     term = 1.0
     for k in range(1, order + 2):
-        term *= x / k  # x^{order+1} / (order+1)!
+        term *= LN2 / k  # x^{order+1} / (order+1)!
     terms = []
     k = order + 1
     total = 0.0
@@ -107,20 +109,17 @@ def series_tail(order: int, x: float = LN2) -> float:
         terms.append(term)
         total += term
         k += 1
-        term *= x / k
-        if k + 1 > x and term / (1.0 - x / (k + 1)) <= 1e-17 * total:
-            terms.append(term / (1.0 - x / (k + 1)))
-            break
-        if k > order + 500:
-            terms.append(2.0 * term)
+        term *= LN2 / k
+        if term / (1.0 - LN2 / (k + 1)) <= 1e-17 * total:
+            terms.append(term / (1.0 - LN2 / (k + 1)))
             break
     return math.fsum(terms)
 
 
-def truncation_order(epsilon_per_segment: float, x: float = LN2) -> int:
-    """Smallest Q with sum_{q > Q} x^q/q! <= epsilon_per_segment."""
+def truncation_order(epsilon_per_segment: float) -> int:
+    """Smallest Q with sum_{q > Q} (ln 2)^q/q! <= epsilon_per_segment."""
     order = 0
-    while series_tail(order, x) > epsilon_per_segment:
+    while series_tail(order) > epsilon_per_segment:
         order += 1
         if order > 10_000:
             raise ValueError("per-segment tolerance too small to satisfy")
@@ -224,18 +223,6 @@ class PathCoefficient:
     phi: float
 
 
-def _check_path(h: PmrHamiltonian, plan: SegmentPlan, z: int, indices) -> None:
-    """Refuse a path longer than Q, a source outside [0, 2^N) or a term
-    index outside [0, M)."""
-    if len(indices) > plan.Q:
-        raise ValueError(f"path length {len(indices)} exceeds plan order Q={plan.Q}")
-    if not 0 <= z < 1 << h.n_qubits:
-        raise ValueError(f"basis index {z} out of range")
-    for i in indices:
-        if not 0 <= i < h.m:
-            raise IndexError(f"term index {i} out of range for M={h.m}")
-
-
 def path_coefficient(
     h: PmrHamiltonian,
     g: GammaBounds,
@@ -244,9 +231,16 @@ def path_coefficient(
     path: Path,
     config: DdConfig | None = None,
 ) -> PathCoefficient:
-    """Coefficient of one flip path starting from basis state z."""
+    """Coefficient of one flip path starting from basis state z; refuses a
+    path longer than Q, a source outside [0, 2^N) or a term outside [0, M)."""
     q = path.q
-    _check_path(h, plan, z, path.indices)
+    if q > plan.Q:
+        raise ValueError(f"path length {q} exceeds plan order Q={plan.Q}")
+    if not 0 <= z < 1 << h.n_qubits:
+        raise ValueError(f"basis index {z} out of range")
+    for i in path.indices:
+        if not 0 <= i < h.m:
+            raise IndexError(f"term index {i} out of range for M={h.m}")
     e_z = diagonal_energy(h, z)
     states, cur = [], z  # the basis states visited after each flip
     for i in path.indices:
@@ -315,6 +309,12 @@ def _check_rows_budget(h: PmrHamiltonian, plan: SegmentPlan, budget: int, applie
         raise WorkBudgetExceededError(product, budget, detail, work)
 
 
+def _norm(x: np.ndarray) -> float:
+    """2-norm of x summed in numpy's fixed pairwise order; ``np.linalg.norm``
+    is a BLAS dot, whose sum order depends on the BLAS thread count."""
+    return float(np.sqrt(np.sum(x.real * x.real + x.imag * x.imag)))
+
+
 def _require_finite(out: np.ndarray) -> np.ndarray:
     """``out`` itself, or SeriesConvergenceError if any entry is inf or NaN."""
     if not np.isfinite(out).all():
@@ -342,12 +342,10 @@ def _taylor_table(
     return c, energies - c, coeffs[np.add.outer(np.arange(order + 1), np.arange(n_max + 1))]
 
 
-def _path_levels(
-    h: PmrHamiltonian, plan: SegmentPlan, sources: np.ndarray, config: DdConfig, levels
-):
-    """Per level q, the flip masks of all paths (i_1..i_q), i_j in
-    ``levels[j-1]``, in lexicographic order; the positions of the kept paths
-    in that order; their destinations z ^ mask (kept, sources); and their
+def _path_levels(h: PmrHamiltonian, plan: SegmentPlan, sources: np.ndarray, config: DdConfig):
+    """Per level q = 1..Q, the flip masks of all M^q paths (i_1..i_q) over
+    the M terms, in lexicographic order; the positions of the kept paths in
+    that order; their destinations z ^ mask (kept, sources); and their
     coefficients e^{-i dt [0, E_{z_1} - E_z, ...]} * prod_j d_{i_j}(z_j).
     A path whose hopping product is zero at every source is dropped, and so
     are its extensions.
@@ -366,7 +364,7 @@ def _path_levels(
     e_src = energies[sources]
     taylor = config.method == "taylor"
     if taylor:
-        c, y, pref = _taylor_table(energies, plan.delta_t, len(levels))
+        c, y, pref = _taylor_table(energies, plan.delta_t, plan.Q)
         # each coefficient (-i dt)^j/j! is real or imaginary: two real rows
         parts = np.stack((pref.real, pref.imag), axis=1)
         shift = np.exp(-1j * plan.delta_t * (c - e_src))
@@ -377,13 +375,12 @@ def _path_levels(
         seq = np.zeros((1, len(sources), 1))
     flips = keep = np.zeros(1, dtype=np.int64)
     dprod = np.ones((1, len(sources)), dtype=complex)
-    for q, terms in enumerate(levels, start=1):
-        terms = np.asarray(terms, dtype=np.int64)
-        parent, child = np.divmod(np.arange(len(keep) * len(terms)), len(terms))
-        flips = np.bitwise_xor.outer(flips, masks[terms]).reshape(-1)
-        keep = keep[parent] * len(terms) + child
+    for q in range(1, plan.Q + 1):
+        parent, child = np.divmod(np.arange(len(keep) * h.m), h.m)
+        flips = np.bitwise_xor.outer(flips, masks).reshape(-1)
+        keep = keep[parent] * h.m + child
         dest = flips[keep][:, None] ^ sources
-        dprod = dprod[parent] * d_tab[terms[child][:, None], dest]
+        dprod = dprod[parent] * d_tab[child[:, None], dest]
         live = np.flatnonzero(np.any(dprod != 0, axis=1))
         parent, keep, dest, dprod = parent[live], keep[live], dest[live], dprod[live]
         if taylor:
@@ -400,20 +397,20 @@ def _path_levels(
 
 
 def _path_table(
-    h: PmrHamiltonian, plan: SegmentPlan, config: DdConfig, levels, sources=None
+    h: PmrHamiltonian, plan: SegmentPlan, config: DdConfig, sources=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative flip masks (P,) and coefficients (P, |sources|) of the
-    empty path and of every path with i_j in ``levels[j-1]``, level by level
-    in lexicographic order: column j holds each path's ``_path_levels``
-    coefficient from ``sources[j]`` (default all 2^N states, so column z is
-    source z).  Each level goes into the one preallocated table, never held
-    twice."""
+    """Cumulative flip masks (P,) and coefficients (P, |sources|) of all
+    P = sum_{q<=Q} M^q paths of up to Q flips, the empty path first, then
+    level by level in lexicographic order: column j holds each path's
+    ``_path_levels`` coefficient from ``sources[j]`` (default all 2^N
+    states, so column z is source z).  Each level goes into the one
+    preallocated table, never held twice."""
     sources = np.arange(1 << h.n_qubits) if sources is None else sources
-    flips = np.zeros(np.cumprod([1] + [len(terms) for terms in levels]).sum(), dtype=np.int64)
+    flips = np.zeros(sum(h.m ** q for q in range(plan.Q + 1)), dtype=np.int64)
     table = np.zeros((len(flips), len(sources)), dtype=complex)
     table[0] = 1.0  # the empty path
     lo = 1  # the first row of the level
-    for cum, keep, _, coeff in _path_levels(h, plan, sources, config, levels):
+    for cum, keep, _, coeff in _path_levels(h, plan, sources, config):
         flips[lo:lo + len(cum)] = cum
         table[lo + keep] = coeff
         lo += len(cum)
@@ -571,7 +568,7 @@ def _uod_operator(h: PmrHamiltonian, plan: SegmentPlan, config: DdConfig, suppor
     other methods the flip rows of every path from the ``support`` states."""
     if config.method == "taylor":
         return _Recursion(h, plan, support, flips)
-    table = _path_table(h, plan, config, [range(h.m)] * plan.Q, np.flatnonzero(support))
+    table = _path_table(h, plan, config, np.flatnonzero(support))
     return _FlipRows(*table, support)
 
 

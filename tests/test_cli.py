@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,19 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
         assert capsys.readouterr().out == fresh.stdout
 
 
+def test_artifacts_take_no_blas_norm(tmp_path, monkeypatch):
+    # np.linalg.norm is a BLAS dot, whose sum order depends on the BLAS
+    # thread count: no norm that reaches a CSV may go through it
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    base = ["--hamiltonian", SAMPLE, "--t", "0.9", "--epsilon", "1e-3", "--seed", "1",
+            "--check", "--output", str(tmp_path / "run.csv")]
+    for argv in (["lcu"], ["lcu", "--phase-bits", "16"], ["evolve"]):
+        assert main(argv + base) == 0
+
+
 class TestLcuCommand:
     def test_phase_bits_build_path_coefficients_once(self, tmp_path, monkeypatch):
         # the quantized run and its exact-phase comparison share one build of
@@ -271,8 +285,8 @@ class TestLcuCommand:
             path_betas, dd_exp = lcu._path_betas, series.dd_exp
 
             def counted_builds(*args, **kwargs):
-                builds.append(args[-1])
-                return path_betas(*args, **kwargs)
+                builds.append(path_betas(*args, **kwargs))
+                return builds[-1]
 
             def counted(*args, **kwargs):
                 calls.append(len(args[0]))
@@ -286,7 +300,9 @@ class TestLcuCommand:
                     ["lcu", "--hamiltonian", SAMPLE, "--t", "0.9", "--epsilon", "1e-3",
                      "--phase-bits", "16", "--dd-method", method, "--output", str(out)]
                 ) == 0
-            assert len(builds) == 1 and len(builds[0]) == plan.Q
+            # the one build covers all P = sum_{q<=Q} M^q paths
+            assert len(builds) == 1
+            assert len(builds[0][0]) == sum(h.m ** q for q in range(plan.Q + 1))
             assert len(calls) == batches
             assert read_csv(out)[-1]["quantization_error"] != ""
 
@@ -365,6 +381,29 @@ class TestDivdiffCommand:
             val = complex(float(rows[method]["value_re"]), float(rows[method]["value_im"]))
             assert abs(val) <= bound
 
+    def test_huge_inputs_at_small_t_without_warning(self, tmp_path):
+        # |t| * spread is 0.67 though the inputs reach 1e300: the Taylor
+        # profile is built from t * y, so it neither overflows nor warns
+        out = tmp_path / "dd.csv"
+        argv = ["divdiff", "0", "1e300", "1e300", "--t", "1e-300", "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        rows = {r["quantity"]: r for r in read_csv(out)}
+        assert float(rows["taylor"]["value_re"]) == float(rows["taylor"]["value_im"]) == 0.0
+        for method in ("pyramid", "leibniz"):
+            assert float(rows[method]["abs_dev_vs_taylor"]) == 0.0
+
+    @pytest.mark.parametrize(
+        "inputs", [["0", "1e300", "1e300", "--t", "1e-300"], ["0", "1e-300", "--t", "1e300"]]
+    )
+    def test_seed_error_bound_at_extreme_scales(self, inputs):
+        # the bound is (seed_dt * max|x - mean|)^2: finite, and above the
+        # seed error, where seed_dt^2 alone overflows or reads 0
+        run = run_fresh(["divdiff", *inputs])
+        assert run.returncode == 0 and "Traceback" not in run.stderr
+        rows = {line.split(",")[0]: line.split(",")[1] for line in run.stdout.split()}
+        assert float(rows["seed_error"]) <= float(rows["seed_error_bound"]) < float("inf")
 
     def test_triple_zero_matches_derivative_form(self, tmp_path):
         out = tmp_path / "dd.csv"

@@ -30,7 +30,6 @@ from pmrsim.lcu import (
     apply_reflection,
     apply_U_C,
     apply_W,
-    compute_phase_angles,
     evolve_lcu,
     lcu_weights,
     oaa_segment,
@@ -168,12 +167,23 @@ class TestApplyB:
         assert apply_B(comp, ops.psi0).norm() == pytest.approx(1.0, abs=1e-10)
 
 
+def table_beta(ops, path, z):
+    """cos(phi) e^{i chi} of ``path`` from source z, rebuilt from the phase
+    pair e^{i(chi +/- phi)} of ``SegmentOperators.tables`` at the operators'
+    phase precision."""
+    _, phase0, phase1 = ops.tables(path)
+    return 0.5 * (phase0[z] + phase1[z])
+
+
 class TestComputePhaseAngles:
+    """chi and phi of single paths: exact from ``path_coefficient``,
+    quantized from the ``SegmentOperators`` phase tables."""
+
     def test_unit_beta(self):
         _, h, g, plan, _ = small_setup()
-        chi, phi = compute_phase_angles(h, g, plan, 0, Path(()))
-        assert chi == pytest.approx(0.0, abs=1e-14)
-        assert phi == pytest.approx(0.0, abs=1e-14)
+        pc = path_coefficient(h, g, plan, 0, Path(()))
+        assert pc.chi == pytest.approx(0.0, abs=1e-14)
+        assert pc.phi == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_beta_pinned_convention(self):
         strings = [
@@ -185,46 +195,41 @@ class TestComputePhaseAngles:
         g = gamma_bounds(h)
         plan = plan_segments(h, g, 0.8, 1e-4)
         zeros = [z for z in range(4) if abs(h.terms[0][0].value(z ^ 1)) < 1e-14]
-        chi, phi = compute_phase_angles(h, g, plan, zeros[0], Path((0,)))
-        assert chi == pytest.approx(0.0, abs=1e-14)
-        assert phi == pytest.approx(math.pi / 2)
+        pc = path_coefficient(h, g, plan, zeros[0], Path((0,)))
+        assert pc.chi == pytest.approx(0.0, abs=1e-14)
+        assert pc.phi == pytest.approx(math.pi / 2)
+        # the table's phase pair e^{i(chi +/- phi)} is then (i, -i)
+        _, phase0, phase1 = SegmentOperators(h, g, plan).tables((0,))
+        assert phase0[zeros[0]] == pytest.approx(1j) and phase1[zeros[0]] == pytest.approx(-1j)
 
     def test_rejects_out_of_range_input(self):
         _, h, g, plan, _ = small_setup()
         for z in (-1, 1 << h.n_qubits):
-            for fn in (compute_phase_angles, path_coefficient):
-                with pytest.raises(ValueError, match="basis index"):
-                    fn(h, g, plan, z, Path((0,)))
+            with pytest.raises(ValueError, match="basis index"):
+                path_coefficient(h, g, plan, z, Path((0,)))
         for i in (-1, h.m):
-            for fn in (compute_phase_angles, path_coefficient):
-                with pytest.raises(IndexError, match="term index"):
-                    fn(h, g, plan, 0, Path((0, i)))
+            with pytest.raises(IndexError, match="term index"):
+                path_coefficient(h, g, plan, 0, Path((0, i)))
 
     def test_round_trip_exact_and_quantized(self):
         rng, h, g, plan, ops = small_setup(seed=7)
-        from pmrsim import path_coefficient
-
+        quantized = {bits: SegmentOperators(h, g, plan, LcuConfig(phase_bits=bits))
+                     for bits in (8, 12)}
         for z in range(4):
             for path in [(0,), (1, 0), (0, 1, 1)]:
                 pc = path_coefficient(h, g, plan, z, Path(path))
-                chi, phi = compute_phase_angles(h, g, plan, z, Path(path))
-                assert abs(math.cos(phi) * np.exp(1j * chi) - pc.beta) < 1e-12
-                for bits in (8, 12):
-                    chi_b, phi_b = compute_phase_angles(
-                        h, g, plan, z, Path(path), LcuConfig(phase_bits=bits)
-                    )
-                    recon = math.cos(phi_b) * np.exp(1j * chi_b)
+                assert abs(math.cos(pc.phi) * np.exp(1j * pc.chi) - pc.beta) < 1e-12
+                for bits, q_ops in quantized.items():
+                    recon = table_beta(q_ops, path, z)
                     assert abs(recon - pc.beta) <= 2 * 2 * math.pi / 2 ** bits
 
     def test_b64_matches_exact(self):
         _, h, g, plan, _ = small_setup(seed=13)
+        q_ops = SegmentOperators(h, g, plan, LcuConfig(phase_bits=64))
         for z in range(4):
-            chi, phi = compute_phase_angles(h, g, plan, z, Path((0, 1)))
-            chi_q, phi_q = compute_phase_angles(
-                h, g, plan, z, Path((0, 1)), LcuConfig(phase_bits=64)
-            )
-            beta = math.cos(phi) * np.exp(1j * chi)
-            beta_q = math.cos(phi_q) * np.exp(1j * chi_q)
+            pc = path_coefficient(h, g, plan, z, Path((0, 1)))
+            beta = math.cos(pc.phi) * np.exp(1j * pc.chi)
+            beta_q = table_beta(q_ops, (0, 1), z)
             assert abs(beta - beta_q) < 1e-9
 
 
@@ -254,8 +259,8 @@ class TestApplyUC:
             sign = 1.0 if k == 0 else -1.0
             phases = []
             for z in range(4):
-                chi, phi = compute_phase_angles(h, g, plan, z, Path((0,)))
-                phases.append(np.exp(1j * (chi + sign * phi)))
+                pc = path_coefficient(h, g, plan, z, Path((0,)))
+                phases.append(np.exp(1j * (pc.chi + sign * pc.phi)))
             expected = perm @ np.diag(phases)
             got = np.zeros((4, 4), complex)
             a = ops.layout.index((0,), k)

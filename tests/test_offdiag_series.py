@@ -388,7 +388,7 @@ def enumerated(h, plan, block, cfg):
     rows of every path from its nonzero rows, evaluated with ``cfg``'s
     method, taylor included."""
     support = np.any(block != 0, axis=1)
-    table = series._path_table(h, plan, cfg, [range(h.m)] * plan.Q, np.flatnonzero(support))
+    table = series._path_table(h, plan, cfg, np.flatnonzero(support))
     return applied(series._FlipRows(*table, support), block)
 
 
@@ -846,8 +846,8 @@ class TestPathLevels:
 
     @staticmethod
     def levels(h, sources, t, cfg, depth=4):
-        plan = plan_segments(h, gamma_bounds(h), t, 1e-4)
-        return plan, list(series._path_levels(h, plan, sources, cfg, [range(h.m)] * depth))
+        plan = plan_segments(h, gamma_bounds(h), t, 1e-4, q_override=depth)
+        return plan, list(series._path_levels(h, plan, sources, cfg))
 
     def test_taylor_profiles_match_leibniz(self):
         # leibniz is accurate to about 1e-11 (``auto_doubling_depth``); it
@@ -905,7 +905,7 @@ class TestPathLevels:
         h = random_pmr_hamiltonian(np.random.default_rng(1100), n=3, m_terms=3)
         plan = plan_segments(h, gamma_bounds(h), 1.2, 1e-6)
         assert plan.Q >= 2
-        list(series._path_levels(h, plan, np.arange(8), DdConfig(), [range(h.m)] * plan.Q))
+        list(series._path_levels(h, plan, np.arange(8), DdConfig()))
         assert len(calls) == plan.Q + 1
 
 
