@@ -96,9 +96,10 @@ def _shaped(out: np.ndarray, one: bool):
     return complex(out[0]) if one else out
 
 
-def _tie_tol(x: np.ndarray) -> np.ndarray:
-    """Per row: inputs closer than 1e-9 * max(1, max |x|) count as repeated."""
-    return 1e-9 * np.maximum(1.0, np.max(np.abs(x), axis=1))
+def _tie_tol(x: np.ndarray, t: float) -> np.ndarray:
+    """Per row: inputs closer than 1e-9 * max(min(1, 1/|t|), max |x|) count as
+    repeated; e^{-it[x]} depends on t * x alone, so a gap of 1/|t| is no tie."""
+    return 1e-9 * np.maximum(1.0 / max(1.0, abs(t)), np.max(np.abs(x), axis=1))
 
 
 def exp_prefactor(q: int, t: float) -> complex:
@@ -134,7 +135,7 @@ def dd_exp_naive(values, t: float) -> complex:
         return _shaped(np.exp(-1j * t * x[:, 0]), one)
     off = ~np.eye(x.shape[1], dtype=bool)
     gaps = np.abs(x[:, :, None] - x[:, None, :])[:, off]
-    if np.any(np.min(gaps, axis=1) <= _tie_tol(x)):
+    if np.any(np.min(gaps, axis=1) <= _tie_tol(x, t)):
         raise RepeatedInputsError(
             "inputs repeat (or nearly repeat); the defining sum is ill-conditioned"
         )
@@ -242,7 +243,7 @@ def effective_energy_pyramid(values, t: float):
     if t == 0.0:
         raise ValueError("pyramid recursion requires t != 0")
     x = np.sort(x, axis=1)
-    tie = _tie_tol(x)[:, None]
+    tie = _tie_tol(x, t)[:, None]
     # each level divides by a difference of nearly equal children, so the
     # recursion runs in extended precision where the platform provides it
     xl = x.astype(np.longdouble)

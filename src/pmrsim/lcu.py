@@ -550,7 +550,7 @@ def _evolve_lcu_runs(
             f"exceeds budget {composite_budget}"
         )
     # a segment applies V's F <= min(anc_dim / 2, 2^N) rows three times
-    _check_rows_budget(h, plan, DEFAULT_WORK_BUDGET, 3)
+    _check_rows_budget(h, plan, DEFAULT_WORK_BUDGET, 3 * plan.r)
     ops = SegmentOperators(h, g, plan, config)
     oracle = DenseOracle(h) if h.n_qubits <= 6 else None
     out, diags = _run_segments(ops, ops.v, state, oracle)

@@ -5,24 +5,26 @@ Each segment's off-diagonal factor U_od is the sum over flip paths
 (i_1, ..., i_q), q <= Q, of e^{-i dt [0, dE_1, ..., dE_q]} * prod_j d_{i_j}
 deposited at the flipped basis state.  No ancillas are involved.
 
-Every route builds U_od once, by ``_uod_operator``, as one of two
-operators with one interface: ``apply`` on the states it acts on
-(``states``), and ``dense``.  ``_segment`` applies it to each column of a
+Every route prices and builds U_od once, by one ``_uod_operator`` call
+given its support and segment count, as one of two operators with one
+interface: ``apply`` on the states it acts on (``states``), and ``dense``.
+``_segment`` builds it for one segment and applies it to each column of a
 (2^N, k) block (a state is a one-column block) or makes it dense;
-``evolve`` applies it once per segment after the diagonal phase.
+``evolve`` builds it for r segments and applies it once per segment after
+the diagonal phase.  Neither asks which method is configured.
 
 * taylor: the basis-state recursion ``_Recursion`` on the set R of states
-  reachable from the support.  In Taylor form a path's divided difference
-  is a fixed linear functional of its profile of complete homogeneous
-  symmetric polynomials h_n, which one more flip extends linearly in the
-  new state's energy.  With every energy shifted by one constant, all paths
-  that end at the same state after q flips share one summed profile:
-  O(Q * M * |R| * n_max) work instead of O(M^Q * 2^N * n_max).
+  that ``_reach`` finds from the support.  In Taylor form a path's divided
+  difference is a fixed linear functional of its profile of complete
+  homogeneous symmetric polynomials h_n, which one more flip extends
+  linearly in the new state's energy.  With every energy shifted by one
+  constant, all paths that end at the same state after q flips share one
+  summed profile: O(Q * M * |R| * n_max) work, not O(M^Q * 2^N * n_max).
 * naive, pyramid, leibniz: nonlinear in the path, so every path from the
-  sources is enumerated into ``_FlipRows``, the one form of an enumerated
-  U_od (and of ``lcu``'s V): U_od = sum_f P_f diag(c_f) over the
-  F <= min(P, 2^N) net flip masks f, P = sum_{q<=Q} M^q, merged from the
-  (P, sources) table of ``_path_table``.
+  states ``_reach`` finds for the earlier segments is enumerated into
+  ``_FlipRows``, the one form of an enumerated U_od (and of ``lcu``'s V):
+  U_od = sum_f P_f diag(c_f) over the F <= min(P, 2^N) net flip masks f,
+  P = sum_{q<=Q} M^q, merged from the (P, sources) table of ``_path_table``.
 
 The one enumerator, ``_path_levels``, has one shape for ``series`` and
 ``lcu`` alike: every path of up to Q flips over all M terms, level by
@@ -89,6 +91,12 @@ class WorkBudgetExceededError(RuntimeError):
         super().__init__(f"{work} = {detail} = {product} exceeds budget {budget}")
         self.product = product
         self.budget = budget
+
+
+def _price(product: int, budget: int, detail: str, work: str) -> None:
+    """Refuse ``product`` units of ``work`` (spelled ``detail``) above ``budget``."""
+    if product > budget:
+        raise WorkBudgetExceededError(product, budget, detail, work)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -275,38 +283,13 @@ def apply_diagonal(h: PmrHamiltonian, state: np.ndarray, delta_t: float) -> np.n
     return state * np.exp(-1j * delta_t * h.diagonal_values())
 
 
-def _check_budget(
-    h: PmrHamiltonian, plan: SegmentPlan, method: str, budget: int, states: int | None = None
-) -> None:
-    """Refuse work above ``budget``.  Per segment, the taylor recursion
-    gathers over M terms for Q levels on |R| <= 2^N states, so it is priced
-    Q * M * 2^N; once ``states`` = |R| is known, its r segments are priced
-    r * Q * M * |R|.  Path enumeration costs M^Q * 2^N."""
-    n = h.n_qubits
-    if method == "taylor" and states is not None:
-        product = plan.r * plan.Q * h.m * states
-        detail = f"{plan.r} * {plan.Q} * {h.m} * {states}"
-        work = "r * recursion work Q * M * |R|"
-    elif method == "taylor":
-        product = plan.Q * h.m << n
-        detail, work = f"{plan.Q} * {h.m} * 2^{n}", "recursion work Q * M * 2^N"
-    else:
-        product = h.m ** plan.Q << n
-        detail, work = f"{h.m}^{plan.Q} * 2^{n}", "path work M^Q * 2^N"
-    if product > budget:
-        raise WorkBudgetExceededError(product, budget, detail, work)
-
-
-def _check_rows_budget(h: PmrHamiltonian, plan: SegmentPlan, budget: int, applies: int = 1):
-    """Refuse r segments of ``applies`` applies of flip rows above ``budget``:
-    one touches F <= min(P, 2^N) rows of 2^N entries, P = sum_{q<=Q} M^q."""
+def _check_rows_budget(h: PmrHamiltonian, plan: SegmentPlan, budget: int, applies: int):
+    """Refuse ``applies`` applies of flip rows in all above ``budget``: one
+    touches F <= min(P, 2^N) rows of 2^N entries, P = sum_{q<=Q} M^q."""
     n = h.n_qubits
     rows = min(sum(h.m ** q for q in range(plan.Q + 1)), 1 << n)
-    product = plan.r * applies * rows << n
-    if product > budget:
-        detail = f"{plan.r} * {applies} * {rows} * 2^{n}"
-        work = f"r * {applies} * min(P, 2^N) * 2^N"
-        raise WorkBudgetExceededError(product, budget, detail, work)
+    _price(applies * rows << n, budget, f"{applies} * {rows} * 2^{n}",
+           "applies * min(P, 2^N) * 2^N")
 
 
 def _norm(x: np.ndarray) -> float:
@@ -460,52 +443,50 @@ class _FlipRows:
         return out
 
 
-class _Recursion:
-    """U_od by the basis-state recursion over the reachable set R.
-
-    R, ``states``, holds the support states and every state reachable from
-    them within ``flips`` flips whose hopping value d_i at the post-flip
-    state is nonzero.  The set-up fills two (M, 2^N) tables, the flip index
-    z ^ mask_i and whether d_i(z) is nonzero, and grows R by one pass over
-    both per flip.  The G terms that hop inside R, ``terms``, keep in
-    ascending order their source positions ``src_pos`` (G, |R|) and values
-    d_i at R ``coef`` (G, |R|, 1); position |R| points at a zero row.  The
-    shifted energies y = E - c and the table ``pref`` come from
-    ``_taylor_table`` over the energies on R.
-    """
-
-    def __init__(
-        self, h: PmrHamiltonian, plan: SegmentPlan, support: np.ndarray, flips: int
-    ):
-        dim = 1 << h.n_qubits
-        basis = np.arange(dim)
-        src = np.empty((h.m, dim), dtype=np.intp)
-        hop = np.empty((h.m, dim), dtype=bool)
-        for i, mask in enumerate(h.x_masks().tolist()):
-            np.bitwise_xor(basis, mask, out=src[i])
-            np.not_equal(h.term_values(i), 0, out=hop[i])
-        reach = support.copy()
+def _reach(h: PmrHamiltonian, support: np.ndarray, flips: int) -> np.ndarray:
+    """The boolean mask of the ``support`` states and every state reachable
+    from them within ``flips`` flips whose hopping value d_i at the
+    post-flip state is nonzero.  For ``flips`` > 0 it fills two (M, 2^N)
+    tables, the flip index z ^ mask_i and whether d_i(z) is nonzero, and
+    grows the set by one pass over both per flip until it stops growing."""
+    reach = support
+    if flips:
+        src = np.arange(1 << h.n_qubits) ^ h.x_masks()[:, None]
+        hop = np.array([h.term_values(i) != 0 for i in range(h.m)], dtype=bool).reshape(src.shape)
         for _ in range(flips):
             grown = reach | np.any(np.take(reach, src) & hop, axis=0)
             if np.array_equal(grown, reach):
                 break
             reach = grown
-        self.states = np.flatnonzero(reach)
-        n_rows = len(self.states)
-        pos = np.full(dim, n_rows)
-        pos[self.states] = np.arange(n_rows)
-        src_pos = pos[src[:, self.states]]
-        inside = src_pos < n_rows
-        self.terms = np.flatnonzero(np.any(inside & hop[:, self.states], axis=1))
-        self.src_pos = src_pos[self.terms]
-        self.coef = np.empty((len(self.terms), n_rows, 1), dtype=complex)
-        for j, i in enumerate(self.terms.tolist()):
-            self.coef[j, :, 0] = np.where(inside[i], h.term_values(i)[self.states], 0.0)
+    return reach
 
+
+class _Recursion:
+    """U_od by the basis-state recursion over the reachable set R.
+
+    R, ``states``, is ``_reach`` of the support within ``flips`` flips.  The
+    G terms that hop inside R, ``terms``, keep in ascending order their
+    source positions ``src_pos`` (G, |R|), read as R ^ mask_i, and values
+    d_i at R ``coef`` (G, |R|, 1); position |R| points at a zero row.  The
+    shifted energies y = E - c and the table ``pref`` come from
+    ``_taylor_table`` over the energies on R.
+    """
+
+    def __init__(self, h: PmrHamiltonian, plan: SegmentPlan, support: np.ndarray, flips: int):
+        self.dim = 1 << h.n_qubits
+        self.states = np.flatnonzero(_reach(h, support, flips))
+        n_rows = len(self.states)
+        pos = np.full(self.dim, n_rows)
+        pos[self.states] = np.arange(n_rows)
+        src_pos = pos[self.states ^ h.x_masks()[:, None]]
+        values = np.array([h.term_values(i)[self.states] for i in range(h.m)], dtype=complex)
+        coef = np.where(src_pos < n_rows, values.reshape(src_pos.shape), 0.0)
+        self.terms = np.flatnonzero(np.any(coef != 0, axis=1))
+        self.src_pos = src_pos[self.terms]
+        self.coef = coef[self.terms, :, None]
         _, y, self.pref = _taylor_table(h.diagonal_values()[self.states], plan.delta_t, plan.Q)
         self.y = y[:, None]
         self.lift = np.exp(1j * plan.delta_t * self.y)  # e^{i dt y_z}: a source's weight
-        self.dim = dim
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """U_od x for x (|R|,) or (|R|, k) on R: the empty path plus the
@@ -561,15 +542,33 @@ class _Recursion:
             prof, nxt = nxt, prof
 
 
-def _uod_operator(h: PmrHamiltonian, plan: SegmentPlan, config: DdConfig, support, flips):
-    """U_od built once for the configured method, with ``apply`` on the
-    states it acts on (``states``) and ``dense``: the taylor recursion over
-    the states reachable from ``support`` within ``flips`` flips, or for the
-    other methods the flip rows of every path from the ``support`` states."""
+def _uod_operator(
+    h: PmrHamiltonian, plan: SegmentPlan, config: DdConfig, support: np.ndarray,
+    segments: int, budget: int,
+):
+    """U_od for ``segments`` segments from the ``support`` states, priced and
+    built once for the configured method, with ``apply`` on the states it
+    acts on (``states``) and ``dense``.  The taylor recursion is priced
+    Q * M * 2^N for its set-up tables, built on R, the ``_reach`` of the
+    support within ``segments`` * Q flips, and its sweeps are priced
+    ``segments`` * Q * M * |R|.  The other methods are priced M^Q * 2^N for
+    the enumeration and ``segments`` applies of the rows, then enumerate
+    every path from the ``_reach`` of the support within (``segments`` - 1)
+    * Q flips, the states those segments can feed, into ``_FlipRows`` on
+    all 2^N states."""
+    n, flips = h.n_qubits, segments * plan.Q
     if config.method == "taylor":
-        return _Recursion(h, plan, support, flips)
-    table = _path_table(h, plan, config, np.flatnonzero(support))
-    return _FlipRows(*table, support)
+        _price(plan.Q * h.m << n, budget, f"{plan.Q} * {h.m} * 2^{n}",
+               "recursion work Q * M * 2^N")
+        op = _Recursion(h, plan, support, flips)
+        size = len(op.states)
+        _price(flips * h.m * size, budget, f"{segments} * {plan.Q} * {h.m} * {size}",
+               "r * recursion work Q * M * |R|")
+        return op
+    _price(h.m ** plan.Q << n, budget, f"{h.m}^{plan.Q} * 2^{n}", "path work M^Q * 2^N")
+    _check_rows_budget(h, plan, budget, segments)
+    sources = _reach(h, support, flips - plan.Q)
+    return _FlipRows(*_path_table(h, plan, config, np.flatnonzero(sources)), sources)
 
 
 # a non-finite series result raises SeriesConvergenceError in
@@ -588,11 +587,9 @@ def _segment(
     applied or made dense."""
     if len(g.gamma) != h.m:
         raise ValueError(f"got {len(g.gamma)} bounds for M={h.m} terms")
-    cfg = config or DdConfig()
-    _check_budget(h, plan, cfg.method, work_budget)
     dim = 1 << h.n_qubits
     support = np.ones(dim, dtype=bool) if block is None else np.any(block != 0, axis=1)
-    op = _uod_operator(h, plan, cfg, support, plan.Q)
+    op = _uod_operator(h, plan, config or DdConfig(), support, 1, work_budget)
     if block is None:
         return _require_finite(op.dense())
     out = np.zeros_like(block)
@@ -645,35 +642,27 @@ def evolve(
     """Run r segments of diagonal phase followed by the truncated U_od.
 
     Diagonal-only Hamiltonians evolve exactly in one shot.  Otherwise U_od
-    is built once by ``_uod_operator`` and each segment applies it after the
-    diagonal phase, on the states it acts on: the taylor recursion on every
-    state the r segments can reach from the state's support, the other
-    methods' F <= min(P, 2^N) flip rows, P = sum_{q<=Q} M^q, enumerated from
-    every source, on all 2^N states.  The work budget prices all r segments
-    before any path is evaluated: the recursion's on the reachable set R;
-    for the other methods, one enumeration M^Q * 2^N and r applies of the
-    rows.
+    is priced and built once by ``_uod_operator`` for r segments from the
+    state's support, and each segment applies it after the diagonal phase,
+    on the states it acts on: the taylor recursion on every state the r
+    segments can reach, the other methods' F <= min(P, 2^N) flip rows,
+    P = sum_{q<=Q} M^q, enumerated from every state the first r - 1
+    segments can reach, on all 2^N states.  The work budget prices all r
+    segments before any path is evaluated: the recursion's on the reachable
+    set R; for the other methods, one enumeration M^Q * 2^N and r applies
+    of the rows.
     """
     state = np.asarray(state, dtype=complex)
     plan = plan_segments(h, g, t, epsilon, q_override=q_override)
     if plan.diagonal_only:
         return apply_diagonal(h, state, t)
-    cfg = config or DdConfig()
-    dim = 1 << h.n_qubits
-    if state.shape != (dim,):
+    if state.shape != (1 << h.n_qubits,):
         raise ValueError("state length must be 2^N")
-    # one segment bounds building the taylor tables, or the one enumeration
-    _check_budget(h, plan, cfg.method, work_budget)
-    if cfg.method == "taylor":
-        op = _uod_operator(h, plan, cfg, state != 0, plan.r * plan.Q)
-        _check_budget(h, plan, cfg.method, work_budget, len(op.states))
-    else:  # the r applies of the rows, before they are enumerated from every source
-        _check_rows_budget(h, plan, work_budget)
-        op = _uod_operator(h, plan, cfg, np.ones(dim, dtype=bool), plan.Q)
+    op = _uod_operator(h, plan, config or DdConfig(), state != 0, plan.r, work_budget)
     phases = np.exp(-1j * plan.delta_t * h.diagonal_values()[op.states])
     sub = state[op.states]
     for _ in range(plan.r):
         sub = op.apply(phases * sub)
-    state = np.zeros(dim, dtype=complex)
-    state[op.states] = sub
-    return _require_finite(state)
+    out = np.zeros_like(state)
+    out[op.states] = sub
+    return _require_finite(out)

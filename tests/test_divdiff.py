@@ -283,6 +283,15 @@ class TestSharedProperties:
             assert abs(dd_exp_leibniz(x, t) - ref) <= 1e-9 * abs(ref)
             assert abs(dd_exp_naive(x, t) - ref) <= 1e-9 * abs(ref)
 
+    def test_gap_of_one_over_t_is_no_tie(self):
+        # e^{-it[x]} depends on t * x alone: at t = 1e300 the inputs 0 and
+        # 1e-300 are one unit of t * x apart, so naive and pyramid must not
+        # treat them as repeated
+        x, t = [0.0, 1e-300], 1e300
+        ref = dd_exp_taylor(x, t)
+        assert abs(dd_exp_naive(x, t) - ref) <= 1e-12 * abs(ref)
+        assert abs(dd_exp_pyramid(x, t) - ref) <= 1e-12 * abs(ref)
+
     def test_dispatch(self):
         x, t = [0.1, 0.9, 1.7], 0.6
         ref = dd_exp_taylor(x, t)

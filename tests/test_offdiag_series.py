@@ -785,9 +785,37 @@ class TestFlipRows:
         assert plan.r > 1 and rows == [10] * plan.r
         assert np.linalg.norm(out - DenseOracle(h).evolve(psi, 4.0)) <= 1e-6
 
+    def test_evolve_enumerates_from_states_its_segments_feed(self, monkeypatch):
+        # a three-particle state feeds only the C(5, 3) = 10 states of its
+        # sector: leibniz evolve enumerates from those 10 sources, not all
+        # 2^5, and gives bitwise the rows enumerated from every source
+        h = number_conserving_hamiltonian(np.random.default_rng(500), 5)
+        g = gamma_bounds(h)
+        cfg = DdConfig(method="leibniz")
+        plan = plan_segments(h, g, 1.5, 1e-2)
+        assert (plan.r, plan.Q) == (18, 5)
+        psi = np.zeros(32, dtype=complex)
+        psi[0b01011] = 1.0
+        sources = []
+        path_levels = series._path_levels
+
+        def counted(h, plan, src, *args):
+            sources.append(len(src))
+            return path_levels(h, plan, src, *args)
+
+        monkeypatch.setattr(series, "_path_levels", counted)
+        out = evolve(h, g, psi, 1.5, 1e-2, cfg)
+        assert sources == [10]
+        rows = series._FlipRows(*series._path_table(h, plan, cfg))
+        phases = np.exp(-1j * plan.delta_t * h.diagonal_values())
+        ref = psi
+        for _ in range(plan.r):
+            ref = rows.apply(phases * ref)
+        assert np.array_equal(out, ref)
+
     def test_block_enumerates_from_its_support(self, monkeypatch):
-        # paths run only from the block's nonzero rows; the matrix and
-        # evolve enumerate from every source
+        # paths run only from the block's nonzero rows; the matrix
+        # enumerates from every source
         rng = np.random.default_rng(1400)
         h = random_pmr_hamiltonian(rng, n=4, m_terms=3)
         g = gamma_bounds(h)
