@@ -127,7 +127,7 @@ class DiagonalOperator:
     The operator's value at z depends only on the k qubits of its support,
     the union of its z-masks.  Its values over the 2^k support states are
     computed once per operator, on first use, and cached as a read-only
-    table; ``values`` and ``gamma_bounds`` read that table.
+    table; ``values``, ``gamma_bounds`` and ``PmrHamiltonian.values_at`` read it.
     """
 
     terms: tuple[tuple[complex, int], ...]
@@ -185,18 +185,21 @@ class DiagonalOperator:
         table.flags.writeable = False
         return table.reshape((2,) * len(qubits))
 
+    def _broadcast(self, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` (2^N,) filled with ``table``, shaped like the support
+        table, at every basis state that matches it on the support."""
+        n, support = self.n_qubits, self._support
+        shape = [2 if support >> j & 1 else 1 for j in reversed(range(n))]
+        out.reshape((2,) * n)[...] = table.reshape(shape)
+        return out
+
     def values(self) -> np.ndarray:
         """Diagonal elements over all 2^N basis states, as a fresh array.
 
         One broadcast of the cached 2^k-entry support table; the result is
         bitwise the same as summing every term over all 2^N states.
         """
-        table = self._support_table
-        n, support = self.n_qubits, self._support
-        shape = [2 if support >> j & 1 else 1 for j in reversed(range(n))]
-        out = np.empty(1 << n, dtype=complex)
-        out.reshape((2,) * n)[...] = table.reshape(shape)
-        return out
+        return self._broadcast(self._support_table, np.empty(1 << self.n_qubits, dtype=complex))
 
     def sum_abs(self) -> float:
         return float(sum(abs(c) for c, _ in self.terms))
@@ -255,6 +258,39 @@ class PmrHamiltonian:
     def term_values(self, i: int) -> np.ndarray:
         """d_i(z) over all basis states."""
         return self.terms[i][0].values()
+
+    @cached_property
+    def hop_flags(self) -> np.ndarray:
+        """Read-only (M, 2^N) flags d_i(z) != 0, each row broadcast from the
+        term's support table, so no complex 2^N array is made."""
+        flags = np.empty((self.m, 1 << self.n_qubits), dtype=bool)
+        for row, (d, _) in zip(flags, self.terms):
+            d._broadcast(d._support_table != 0, row)
+        flags.flags.writeable = False
+        return flags
+
+    @cached_property
+    def _strides(self) -> np.ndarray:
+        """(M + 1, N) strides of qubit j in the flat support table of E (row
+        0) and of each d_i, 0 off the support: bit p of a table index is the
+        p-th support qubit.  Float, so that the index is one BLAS product,
+        exact since every sum is an integer below 2^53."""
+        strides = np.zeros((self.m + 1, self.n_qubits))
+        for row, d in zip(strides, (self.d0, *(d for d, _ in self.terms))):
+            qubits = [j for j in range(self.n_qubits) if d._support >> j & 1]
+            row[qubits] = 1 << np.arange(len(qubits))
+        return strides
+
+    def values_at(self, states: np.ndarray) -> np.ndarray:
+        """E and d_1..d_M at the basis ``states`` as rows of one (M + 1, k)
+        complex array: the ``_strides`` of each state's bits index the flat
+        support table of each diagonal.  Row 0's real part is bitwise
+        ``diagonal_values()[states]`` and row i + 1 is bitwise
+        ``term_values(i)[states]``."""
+        bits = (states >> np.arange(self.n_qubits)[:, None]) & 1
+        index = (self._strides @ bits).astype(np.intp)
+        diagonals = (self.d0, *(d for d, _ in self.terms))
+        return np.array([d._support_table.reshape(-1)[i] for d, i in zip(diagonals, index)])
 
     def x_masks(self) -> np.ndarray:
         return np.array([p.x_mask for _, p in self.terms], dtype=np.int64)

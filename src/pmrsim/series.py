@@ -14,12 +14,13 @@ interface: ``apply`` on the states it acts on (``states``), and ``dense``.
 the diagonal phase.  Neither asks which method is configured.
 
 * taylor: the basis-state recursion ``_Recursion`` on the set R of states
-  that ``_reach`` finds from the support.  In Taylor form a path's divided
-  difference is a fixed linear functional of its profile of complete
-  homogeneous symmetric polynomials h_n, which one more flip extends
-  linearly in the new state's energy.  With every energy shifted by one
-  constant, all paths that end at the same state after q flips share one
-  summed profile: O(Q * M * |R| * n_max) work, not O(M^Q * 2^N * n_max).
+  that ``_reach`` finds from the support, breadth first, with E and d_i
+  read on R alone from the diagonals' support tables.  In Taylor form a
+  path's divided difference is a fixed linear functional of its profile of
+  complete homogeneous symmetric polynomials h_n, which one more flip
+  extends linearly in the new state's energy.  With every energy shifted
+  by one constant, all paths that end at the same state after q flips share
+  one summed profile: O(Q * M * |R| * n_max) work, not O(M^Q * 2^N * n_max).
 * naive, pyramid, leibniz: nonlinear in the path, so every path from the
   states ``_reach`` finds for the earlier segments is enumerated into
   ``_FlipRows``, the one form of an enumerated U_od (and of ``lcu``'s V):
@@ -405,16 +406,22 @@ class _FlipRows:
     c_f(z) per distinct flip mask f, so (U x)[z ^ f] gets c_f(z) x[z] from
     every f; it acts on all 2^N ``states``.  The input rows hold values from
     the ``support`` states (a boolean mask; default all).  Rows that share a
-    mask are merged in their given order by ``np.add.at``, then scattered
-    once into 2^N columns; ``index`` holds z ^ f per row and ``rows`` holds
-    c_f(z) by source z."""
+    mask are summed in their given order by ``np.bincount``, in column
+    blocks of at most ``_EVAL_CHUNK_ROWS`` entries, then scattered once into
+    2^N columns; ``index`` holds z ^ f per row and ``rows`` c_f(z) by z."""
 
     states = slice(None)
 
     def __init__(self, flips: np.ndarray, rows: np.ndarray, support: np.ndarray | None = None):
         masks, group = np.unique(flips, return_inverse=True)
-        self.rows = merged = np.zeros((len(masks), rows.shape[1]), dtype=complex)
-        np.add.at(merged, group, rows)
+        self.rows = merged = np.empty((len(masks), rows.shape[1]), dtype=complex)
+        width = max(1, _EVAL_CHUNK_ROWS // len(rows))
+        for lo in range(0, rows.shape[1], width):
+            block = np.s_[:, lo:lo + width]
+            n = merged[block].shape[1]
+            index = (group[:, None] * n + np.arange(n)).reshape(-1)  # every mask occurs
+            for part, value in ((merged.real, rows.real), (merged.imag, rows.imag)):
+                part[block] = np.bincount(index, value[block].ravel()).reshape(-1, n)
         if support is not None:
             self.rows = np.zeros((len(masks), len(support)), dtype=complex)
             self.rows[:, support] = merged
@@ -446,18 +453,20 @@ class _FlipRows:
 def _reach(h: PmrHamiltonian, support: np.ndarray, flips: int) -> np.ndarray:
     """The boolean mask of the ``support`` states and every state reachable
     from them within ``flips`` flips whose hopping value d_i at the
-    post-flip state is nonzero.  For ``flips`` > 0 it fills two (M, 2^N)
-    tables, the flip index z ^ mask_i and whether d_i(z) is nonzero, and
-    grows the set by one pass over both per flip until it stops growing."""
-    reach = support
-    if flips:
-        src = np.arange(1 << h.n_qubits) ^ h.x_masks()[:, None]
-        hop = np.array([h.term_values(i) != 0 for i in range(h.m)], dtype=bool).reshape(src.shape)
-        for _ in range(flips):
-            grown = reach | np.any(np.take(reach, src) & hop, axis=0)
-            if np.array_equal(grown, reach):
-                break
-            reach = grown
+    post-flip state is nonzero.  It grows breadth first: each step flips
+    the frontier, the states found last, by every mask, and the distinct
+    candidates not yet reached whose ``h.hop_flags`` entry is set are the
+    next frontier, in O(M * |frontier|) work; ``flips`` = 0 is the support."""
+    if not flips:
+        return support
+    reach, front = support.copy(), np.flatnonzero(support)
+    hop, masks, terms = h.hop_flags, h.x_masks()[:, None], np.arange(h.m)[:, None]
+    for _ in range(flips):
+        if not len(front):
+            break
+        cand = front ^ masks
+        front = np.unique(cand[hop[terms, cand] & ~reach[cand]])
+        reach[front] = True
     return reach
 
 
@@ -466,25 +475,26 @@ class _Recursion:
 
     R, ``states``, is ``_reach`` of the support within ``flips`` flips.  The
     G terms that hop inside R, ``terms``, keep in ascending order their
-    source positions ``src_pos`` (G, |R|), read as R ^ mask_i, and values
-    d_i at R ``coef`` (G, |R|, 1); position |R| points at a zero row.  The
-    shifted energies y = E - c and the table ``pref`` come from
-    ``_taylor_table`` over the energies on R.
+    source positions ``src_pos`` (G, |R|), R ^ mask_i searched in R, and
+    values d_i at R ``coef`` (G, |R|, 1); position |R| points at a zero row.
+    E and d_i are read on R alone, by ``h.values_at``.  The shifted
+    energies y = E - c and the table ``pref`` come from ``_taylor_table``
+    over the energies on R.
     """
 
     def __init__(self, h: PmrHamiltonian, plan: SegmentPlan, support: np.ndarray, flips: int):
         self.dim = 1 << h.n_qubits
-        self.states = np.flatnonzero(_reach(h, support, flips))
-        n_rows = len(self.states)
-        pos = np.full(self.dim, n_rows)
-        pos[self.states] = np.arange(n_rows)
-        src_pos = pos[self.states ^ h.x_masks()[:, None]]
-        values = np.array([h.term_values(i)[self.states] for i in range(h.m)], dtype=complex)
-        coef = np.where(src_pos < n_rows, values.reshape(src_pos.shape), 0.0)
+        reach = _reach(h, support, flips)
+        self.states = np.flatnonzero(reach)
+        src = self.states ^ h.x_masks()[:, None]
+        inside = reach[src]
+        src_pos = np.where(inside, np.searchsorted(self.states, src), len(self.states))
+        values = h.values_at(self.states)
+        coef = np.where(inside, values[1:], 0.0)
         self.terms = np.flatnonzero(np.any(coef != 0, axis=1))
         self.src_pos = src_pos[self.terms]
         self.coef = coef[self.terms, :, None]
-        _, y, self.pref = _taylor_table(h.diagonal_values()[self.states], plan.delta_t, plan.Q)
+        _, y, self.pref = _taylor_table(values[0].real, plan.delta_t, plan.Q)
         self.y = y[:, None]
         self.lift = np.exp(1j * plan.delta_t * self.y)  # e^{i dt y_z}: a source's weight
 

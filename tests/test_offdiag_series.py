@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from pmrsim import (
 from pmrsim import divdiff, series
 from pmrsim.divdiff import _add_input
 from pmrsim.lcu import evolve_lcu
+from pmrsim.models import build_named_model
 from pmrsim.pmr import DiagonalOperator, PermutationOperator, PmrHamiltonian, hopping_strength
 from pmrsim.series import DEFAULT_WORK_BUDGET, LN2
 
@@ -660,6 +662,55 @@ class TestStackedRecursion:
         assert h.m - 1 not in rec.terms and len(rec.src_pos) == len(rec.terms)
         assert all(bin(z).count("1") == 3 for z in rec.states.tolist())
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_reach_from_empty_and_full_support(self, n):
+        rng = np.random.default_rng(750 + n)
+        hams = [number_conserving_hamiltonian(rng, n), random_pmr_hamiltonian(rng, n=n, m_terms=4)]
+        hams.append(with_term_zero_on_sector(number_conserving_hamiltonian(rng, n), n))
+        every = list(range(1 << n))
+        for h in hams:
+            for flips in (1, 3):
+                for support in ([], every):
+                    reach = series._reach(h, mask_of(n, *support), flips)
+                    assert np.flatnonzero(reach).tolist() == reachable_states(h, support, flips)
+            # each breadth-first step adds the states one flip further out
+            for flips in range(5):
+                reach = series._reach(h, mask_of(n, 0b11), flips)
+                assert np.flatnonzero(reach).tolist() == reachable_states(h, [0b11], flips)
+
+    def test_setup_reads_no_full_arrays(self, monkeypatch):
+        # E and d_i come from the support tables at R: the set-up never asks
+        # for a value over all 2^N states
+        h = number_conserving_hamiltonian(np.random.default_rng(500), 5)
+        plan = plan_segments(h, gamma_bounds(h), 4.0, 1e-6)
+        ref = series._Recursion(h, plan, mask_of(5, 0b01011), 3 * plan.Q)
+        for name in ("term_values", "diagonal_values"):
+            monkeypatch.setattr(PmrHamiltonian, name, None)
+        rec = series._Recursion(h, plan, mask_of(5, 0b01011), 3 * plan.Q)
+        assert len(rec.states) == 10
+        for name in ("states", "terms", "src_pos", "coef", "y", "pref", "lift"):
+            assert getattr(rec, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_second_evolve_holds_no_term_tables(self):
+        # the tables that depend only on H are cached on it: a second evolve
+        # from a basis state holds a few 2^N-entry masks and its result, not
+        # M * 2^N flip indices or complex values
+        h, _ = build_named_model("fermi_hubbard", 7)
+        g = gamma_bounds(h)
+        dim = 1 << h.n_qubits
+        psi = np.zeros(dim, dtype=complex)
+        psi[0b11] = 1.0
+        t = 2.0 / g.gamma_total
+        first = evolve(h, g, psi, t, 1e-6)
+        tracemalloc.start()
+        try:
+            second = evolve(h, g, psi, t, 1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(first, second)
+        assert peak < 32 * dim
+
     @pytest.mark.parametrize("seed", range(3))
     def test_stacked_sweep_equals_per_term_loop(self, seed):
         rng = np.random.default_rng(800 + seed)
@@ -733,6 +784,30 @@ class TestFlipRows:
             assert rows.apply(x).shape == x.shape
             assert np.max(np.abs(rows.apply(x) - mat @ x)) <= 1e-14
             assert np.max(np.abs(rows.apply_dagger(x) - mat.conj().T @ x)) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(40, 16), (300, 64)])
+    def test_merge_equals_add_at_bitwise(self, shape, monkeypatch):
+        # rows that share a mask are summed in their given order, as an
+        # unbuffered np.add.at does; small caps split the columns into blocks
+        rng = np.random.default_rng(1250)
+        n_rows, dim = shape
+        pool = np.concatenate(([0], rng.choice(np.arange(1, dim), 5, replace=False)))
+        flips = pool[rng.integers(0, len(pool), n_rows)]
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        values[rng.random(shape) < 0.3] = 0.0
+        values[::7] = -0.0
+        masks, group = np.unique(flips, return_inverse=True)
+        ref = np.zeros((len(masks), dim), dtype=complex)
+        np.add.at(ref, group, values)
+        for cap in (series._EVAL_CHUNK_ROWS, n_rows * 5, 1):
+            with monkeypatch.context() as m:
+                m.setattr(series, "_EVAL_CHUNK_ROWS", cap)
+                assert series._FlipRows(flips, values).rows.tobytes() == ref.tobytes()
+        support = np.zeros(2 * dim, dtype=bool)
+        support[rng.choice(2 * dim, dim, replace=False)] = True
+        rows = series._FlipRows(flips, values, support)
+        assert rows.rows[:, support].tobytes() == ref.tobytes()
+        assert not rows.rows[:, ~support].any()
 
     def test_evolve_enumerates_paths_once(self, monkeypatch):
         # 13 qubits is past the dense segment matrix: the r segments apply

@@ -20,6 +20,7 @@ from pmrsim import (
     pauli_to_pmr,
     pmr_to_pauli_strings,
 )
+from pmrsim.models import MODEL_NAMES, build_named_model
 from pmrsim.pmr import hermiticity_defect, parity_signs
 
 I2 = np.eye(2, dtype=complex)
@@ -321,6 +322,37 @@ class TestSupportTable:
         assert gamma_bounds(h, "exact") == gamma
         table = d._support_table
         assert table.size == 4 and not table.flags.writeable
+
+
+class TestValuesAt:
+    """E and d_i read at given states from the support tables."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_matches_full_arrays_bitwise(self, name):
+        rng = np.random.default_rng(57)
+        for n in range(2, 9):
+            h, _ = build_named_model(name, n)
+            dim = 1 << h.n_qubits
+            # unsorted, with repeats, and both ends of the range
+            states = np.concatenate((rng.integers(0, dim, 40), [dim - 1, 0, dim - 1, 3 % dim]))
+            values = h.values_at(states)
+            assert values.shape == (h.m + 1, len(states))
+            assert values[0].real.tobytes() == h.diagonal_values()[states].tobytes()
+            for i in range(h.m):
+                assert values[i + 1].tobytes() == h.term_values(i)[states].tobytes()
+            assert h.values_at(states[:0]).shape == (h.m + 1, 0)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_hop_flags_are_nonzero_values(self, name):
+        for n in (2, 5, 8):
+            h, _ = build_named_model(name, n)
+            flags = h.hop_flags
+            assert flags.shape == (h.m, 1 << h.n_qubits) and flags.dtype == bool
+            for i in range(h.m):
+                assert np.array_equal(flags[i], h.term_values(i) != 0)
+            assert h.hop_flags is flags
+            with pytest.raises(ValueError):
+                flags[..., 0] = True
 
 
 class TestDenseMatrix:
