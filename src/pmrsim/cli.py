@@ -39,7 +39,7 @@ from .divdiff import (
     dd_exp_taylor,
     small_tau_error,
 )
-from .lcu import CompositeBudgetError, LcuConfig, _evolve_lcu_runs
+from .lcu import LcuConfig, _evolve_lcu_runs
 from .models import MODEL_NAMES, build_named_model
 from .oracle import DenseOracle
 from .pmr import (
@@ -152,9 +152,7 @@ def cmd_lcu(args) -> int:
     start = time.perf_counter()
     quantized = args.phase_bits is not None
     # the exact-phase run shares the quantized run's path coefficients
-    out, diags, exact_out = _evolve_lcu_runs(
-        h, g, psi, args.t, args.epsilon, config, exact_too=quantized
-    )
+    out, diags, exact_out = _evolve_lcu_runs(h, g, psi, plan, config, exact_too=quantized)
     elapsed = time.perf_counter() - start
     error = None
     if h.n_qubits <= DENSE_THRESHOLD:
@@ -410,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except HamiltonianParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (WorkBudgetExceededError, CompositeBudgetError) as exc:
+    except WorkBudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     except (SeriesConvergenceError, CancellationError, ZeroDividedDifferenceError) as exc:

@@ -9,14 +9,16 @@ segment is the diagonal phase on the system followed by A = -W R W' R W
 with W = B' U_C B, where B prepares the LCU weight state and U_C applies,
 conditioned on the ancilla, a diagonal phase pair and the path's bit flips.
 
-``evolve_lcu`` runs each segment on the system register alone.  With
-V = <0|W|0>, the ancilla-zero block of A is exactly 3V - 4VV'V (Berry,
-Childs, Cleve, Kothari & Somma, PRL 114, 090502, 2015).  B|0> is the real
-weight state psi0, so V = sum_a psi0_a^2 U_a, where U_a is ancilla index a's
-phase row followed by its flip.  Indices that share a flip mask f merge into
-one row c_f(z), which leaves F <= min(anc_dim / 2, 2^N) rows, and
-V x = sum_f (c_f x)[z ^ f], V' x = sum_f conj(c_f) x[z ^ f]: the
-``series._FlipRows`` form of an enumerated segment.
+``evolve_lcu`` plans once and runs each segment on the system register
+alone.  With V = <0|W|0>, the ancilla-zero block of A is exactly
+3V - 4VV'V (Berry, Childs, Cleve, Kothari & Somma, PRL 114, 090502, 2015).
+B|0> is the real weight state psi0, so V = sum_a psi0_a^2 U_a, where U_a is
+ancilla index a's phase row followed by its flip.  Indices that share a
+flip mask f merge into one row c_f(z), which leaves
+F <= min(anc_dim / 2, 2^N) rows, and V x = sum_f (c_f x)[z ^ f],
+V' x = sum_f conj(c_f) x[z ^ f]: the ``series._FlipRows`` form of an
+enumerated segment.  Every refusal is ``series._price``'s
+``WorkBudgetExceededError``, as in ``series``.
 
 The composite emulator (``CompositeState``, ``apply_B``, ``apply_U_C``,
 ``apply_W``, ``apply_reflection``, ``oaa_segment``) carries the whole
@@ -47,7 +49,7 @@ from .divdiff import DdConfig
 from .oracle import DenseOracle
 from .pmr import GammaBounds, PmrHamiltonian
 from .series import (DEFAULT_WORK_BUDGET, LN2, SegmentPlan, _check_rows_budget, _FlipRows,
-                     _norm, _path_table, _quiet, _require_finite, apply_diagonal,
+                     _norm, _path_table, _price, _quiet, _require_finite, apply_diagonal,
                      partial_exp_sum, plan_segments)
 
 __all__ = [
@@ -65,14 +67,9 @@ __all__ = [
     "system_segment",
     "evolve_lcu",
     "lcu_weights",
-    "CompositeBudgetError",
 ]
 
 DEFAULT_COMPOSITE_BUDGET = 1 << 24
-
-
-class CompositeBudgetError(RuntimeError):
-    """Composite ancilla x system dimension exceeds the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -302,8 +299,8 @@ class SegmentOperators:
     mask and phase row e^{i theta_k(z)}; and V = <0|W|0> on the system
     register as ``series._FlipRows``, ``v``.  The paths of ``_path_betas``
     come in ``AncillaLayout.paths()`` order, so row a is the path of rank
-    a >> 1 with k = a & 1.  The phase rows are built on first use: with
-    exact phases V does not need them.
+    a >> 1 with k = a & 1.  ``diagonal_phases`` is e^{-i dt E}.  The phase
+    rows are built on first use: with exact phases V does not need them.
     """
 
     def __init__(
@@ -319,7 +316,7 @@ class SegmentOperators:
         self.layout = AncillaLayout(plan.Q, h.m)
         self.gam, self.s = lcu_weights(g, plan, self.config)
         self.psi0 = prepare_psi0(g, plan, self.config)
-        self._energies = h.diagonal_values()
+        self.diagonal_phases = np.exp(-1j * plan.delta_t * h.diagonal_values())
         cum, self._beta = _path_betas(h, self.gam, plan, self.config.dd)
         self.flips = np.repeat(cum, 2)
         self.v = self.flip_rows(self.config.phase_bits)
@@ -357,9 +354,6 @@ class SegmentOperators:
         """(cum, phase0, phase1): one path's flip mask and phase pair."""
         a = self.layout.index(tuple(path), 0)
         return int(self.flips[a]), self.phases[a], self.phases[a + 1]
-
-    def diagonal_phases(self) -> np.ndarray:
-        return np.exp(-1j * self.plan.delta_t * self._energies)
 
 
 def apply_U_C(
@@ -475,7 +469,7 @@ def oaa_segment(
         raise ValueError("oaa_segment expects the ancilla in |0...0>")
     sys_in = state.block(0).copy()
     work = state.copy()
-    work.block(0)[:] = ops.diagonal_phases() * sys_in
+    work.block(0)[:] = ops.diagonal_phases * sys_in
     work = apply_W(work, ops)
     work = apply_reflection(work)
     work = apply_W(work, ops, dagger=True)
@@ -490,7 +484,7 @@ def _amplified(
 ) -> tuple[np.ndarray, SegmentDiagnostics]:
     """3Vx - 4VV'Vx for x = e^{-i dt E} system and V = ``v``, with the
     diagnostics of ``oaa_segment``."""
-    vx = v.apply(ops.diagonal_phases() * system)
+    vx = v.apply(ops.diagonal_phases * system)
     out = 3.0 * vx - 4.0 * v.apply(v.apply_dagger(vx))
     in_weight = _norm(system) ** 2
     return out, _segment_diagnostics(ops, system, in_weight, out, oracle)
@@ -527,28 +521,21 @@ def _evolve_lcu_runs(
     h: PmrHamiltonian,
     g: GammaBounds,
     state: np.ndarray,
-    t: float,
-    epsilon: float,
+    plan: SegmentPlan,
     config: LcuConfig,
     composite_budget: int = DEFAULT_COMPOSITE_BUDGET,
     exact_too: bool = False,
 ) -> tuple[np.ndarray, list[SegmentDiagnostics], np.ndarray | None]:
-    """``evolve_lcu``'s (output, diagnostics), and with ``exact_too`` the
-    output of the same run at exact phases.  Both runs take V's rows from
-    one path-coefficient build."""
+    """``evolve_lcu``'s (output, diagnostics) on the caller's ``plan``, and
+    with ``exact_too`` the output of the same run at exact phases.  Both
+    runs take V's rows from one path-coefficient build."""
     state = np.asarray(state, dtype=complex)
-    plan = plan_segments(h, g, t, epsilon)
     if plan.diagonal_only:
-        out = apply_diagonal(h, state, t)
+        out = apply_diagonal(h, state, plan.t_total)
         return out, [], out if exact_too else None
-    anc_dim = AncillaLayout(plan.Q, h.m).anc_dim
-    composite_dim = anc_dim << h.n_qubits
-    if composite_dim > composite_budget:
-        raise CompositeBudgetError(
-            f"composite dimension 2 * sum_{{q<=Q}} M^q * 2^N = "
-            f"2 * sum_{{q<={plan.Q}}} {h.m}^q * 2^{h.n_qubits} = {composite_dim} "
-            f"exceeds budget {composite_budget}"
-        )
+    _price(AncillaLayout(plan.Q, h.m).anc_dim << h.n_qubits, composite_budget,
+           f"2 * sum_{{q<={plan.Q}}} {h.m}^q * 2^{h.n_qubits}",
+           "composite dimension 2 * sum_{q<=Q} M^q * 2^N")
     # a segment applies V's F <= min(anc_dim / 2, 2^N) rows three times
     _check_rows_budget(h, plan, DEFAULT_WORK_BUDGET, 3 * plan.r)
     ops = SegmentOperators(h, g, plan, config)
@@ -580,9 +567,9 @@ def evolve_lcu(
     anc_dim * 2^N, the size of the phase rows and twice that of the path
     coefficients, is priced against ``composite_budget``.  The segments are
     priced at what they touch, r * 3 * min(anc_dim/2, 2^N) * 2^N entries of
-    V's rows, against ``series.DEFAULT_WORK_BUDGET``.
+    V's rows, against ``series.DEFAULT_WORK_BUDGET``.  Either refusal raises
+    ``series.WorkBudgetExceededError``.
     """
-    out, diags, _ = _evolve_lcu_runs(
-        h, g, state, t, epsilon, config or LcuConfig(), composite_budget
-    )
+    plan = plan_segments(h, g, t, epsilon)
+    out, diags, _ = _evolve_lcu_runs(h, g, state, plan, config or LcuConfig(), composite_budget)
     return out, diags

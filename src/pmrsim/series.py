@@ -59,7 +59,7 @@ from .divdiff import (
     dd_exp,
     series_order,
 )
-from .pmr import GammaBounds, PmrHamiltonian, diagonal_energy, hopping_strength
+from .pmr import DENSE_THRESHOLD, GammaBounds, PmrHamiltonian, diagonal_energy, hopping_strength
 
 __all__ = [
     "LN2",
@@ -84,11 +84,9 @@ _EVAL_CHUNK_ROWS = 1 << 20
 
 
 class WorkBudgetExceededError(RuntimeError):
-    """Series work would exceed the configured work budget."""
+    """A run's priced work or memory would exceed its configured budget."""
 
-    def __init__(
-        self, product: int, budget: int, detail: str, work: str = "path work M^Q * 2^N"
-    ):
+    def __init__(self, product: int, budget: int, detail: str, work: str):
         super().__init__(f"{work} = {detail} = {product} exceeds budget {budget}")
         self.product = product
         self.budget = budget
@@ -633,8 +631,8 @@ def uod_matrix(
     """Dense matrix of the truncated off-diagonal segment factor (small N):
     ``dense`` of the operator built on every state, the taylor recursion
     applied to the identity or the flip rows scattered into the matrix."""
-    if h.n_qubits > 12:
-        raise ValueError("dense segment matrix limited to N <= 12")
+    if h.n_qubits > DENSE_THRESHOLD:
+        raise ValueError(f"dense segment matrix limited to N <= {DENSE_THRESHOLD}")
     return _segment(h, g, plan, None, config, work_budget)
 
 

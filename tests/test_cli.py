@@ -18,8 +18,9 @@ from pmrsim import (
     pauli_to_pmr,
     plan_segments,
 )
-from pmrsim import lcu, series
+from pmrsim import cli, lcu, series
 from pmrsim.cli import main
+from pmrsim.models import MODEL_NAMES
 
 DATA = Path(__file__).parent / "data"
 SAMPLE = str(DATA / "sample4q.txt")
@@ -46,6 +47,13 @@ def write_diag_file(tmp_path):
     path = tmp_path / "diag.txt"
     path.write_text("0.7 ZZI\n-0.4 IZZ\n0.25 ZIZ\n")
     return str(path)
+
+
+def evolve_off_by_1e3(*args, **kwargs):
+    """``series.evolve`` with its first amplitude moved by 1e-3."""
+    out = series.evolve(*args, **kwargs)
+    out[0] += 1e-3
+    return out
 
 
 def check_skipped_past_dense_oracle(tmp_path, capsys, command):
@@ -130,6 +138,23 @@ class TestEvolveCommand:
 
     def test_check_skipped_past_dense_oracle(self, tmp_path, capsys):
         check_skipped_past_dense_oracle(tmp_path, capsys, "evolve")
+
+    def test_check_fails_above_epsilon(self, tmp_path, capsys, monkeypatch):
+        # a result 1e-3 off the oracle at eps = 1e-6: --check is the guard
+        # against a series run that is silently wrong
+        monkeypatch.setattr(cli, "evolve", evolve_off_by_1e3)
+        out = tmp_path / "run.csv"
+        assert main(
+            ["evolve", "--hamiltonian", SAMPLE, "--t", "0.5", "--check", "--output", str(out)]
+        ) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("elapsed_s=")
+        assert err[1].startswith("check failed: error ") and err[1].endswith(" > epsilon")
+        assert float(read_csv(out)[0]["error_2norm"]) == pytest.approx(1e-3, rel=1e-2)
+
+    def test_basis_index_out_of_range_exit_2(self, capsys):
+        assert main(["evolve", "--hamiltonian", SAMPLE, "--initial", "16"]) == 2
+        assert capsys.readouterr().err == "input error: basis index 16 out of range for N=4\n"
 
     def test_basis_initial_state(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -357,6 +382,36 @@ class TestLcuCommand:
     def test_check_skipped_past_dense_oracle(self, tmp_path, capsys):
         check_skipped_past_dense_oracle(tmp_path, capsys, "lcu")
 
+    def test_plans_once(self, tmp_path, monkeypatch):
+        # the run takes the command's plan; lcu plans nothing of its own
+        def refuse(*args, **kwargs):
+            raise AssertionError("lcu planned again")
+
+        plans = []
+
+        def counted(*args, **kwargs):
+            plans.append(plan_segments(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(cli, "plan_segments", counted)
+        monkeypatch.setattr(lcu, "plan_segments", refuse)
+        out = tmp_path / "run.csv"
+        assert main(
+            ["lcu", "--hamiltonian", SAMPLE, "--t", "0.9", "--epsilon", "1e-3",
+             "--phase-bits", "16", "--output", str(out)]
+        ) == 0
+        assert len(plans) == 1
+        assert read_csv(out)[-1]["r"] == str(plans[0].r)
+
+    def test_composite_refused_by_the_series_budget(self, capsys):
+        # the composite is priced by the one series helper, in the words the
+        # lcu command has always printed
+        assert main(["lcu", "--hamiltonian", SAMPLE, "--t", "1e9"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: composite dimension 2 * sum_{q<=Q} M^q * 2^N = "
+            "2 * sum_{q<=15} 4^q * 2^4 = 45812984480 exceeds budget 16777216\n"
+        )
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["lcu", "--hamiltonian", SAMPLE, "--t", "0.8", "--epsilon", "1e-4",
@@ -479,6 +534,14 @@ class TestCompareCommand:
     def test_unknown_model_exit_2(self):
         assert main(["compare", "--model", "heisenberg_xyz", "--N", "3"]) == 2
 
+    def test_human_format_has_the_csv_cells(self, capsys):
+        assert main(["compare", "--model", "all", "--N", "4"]) == 0
+        csv = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert main(["compare", "--model", "all", "--N", "4", "--format", "human"]) == 0
+        human = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert human == csv
+        assert len(csv) == 1 + len(MODEL_NAMES)
+
 
 class TestModelsCommand:
     def test_written_file_round_trips(self, tmp_path):
@@ -548,3 +611,19 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not key value\n")
         assert main(["evolve", "--hamiltonian", SAMPLE, "--config", str(cfg)]) == 2
+
+    def test_comments_blanks_and_false_flags(self, tmp_path, monkeypatch):
+        # comment and blank lines are skipped and "check = false" sets no
+        # flag: a result 1e-3 off the oracle passes then, and fails with true
+        monkeypatch.setattr(cli, "evolve", evolve_off_by_1e3)
+        cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+        for value, code in (("false", 0), ("true", 4)):
+            cfg.write_text(f"# run settings\n\nt = 0.5\n   # indented\ncheck = {value}\n\n")
+            assert main(
+                ["evolve", "--hamiltonian", SAMPLE, "--config", str(cfg), "--output", str(out)]
+            ) == code
+            assert read_csv(out)[0]["t"] == "0.5"
+
+    def test_config_without_path_exit_2(self, capsys):
+        assert main(["evolve", "--hamiltonian", SAMPLE, "--config"]) == 2
+        assert capsys.readouterr().err == "input error: line 0: --config needs a path\n"

@@ -11,6 +11,7 @@ from pmrsim import (
     DenseOracle,
     Path,
     PauliString,
+    PmrHamiltonian,
     evolve,
     gamma_bounds,
     parse_hamiltonian,
@@ -22,7 +23,6 @@ from pmrsim import (
 from pmrsim import lcu
 from pmrsim.lcu import (
     AncillaLayout,
-    CompositeBudgetError,
     CompositeState,
     LcuConfig,
     SegmentOperators,
@@ -37,7 +37,7 @@ from pmrsim.lcu import (
     psi0_unary_cascade,
     system_segment,
 )
-from pmrsim.series import LN2
+from pmrsim.series import LN2, WorkBudgetExceededError
 from test_offdiag_series import number_conserving_hamiltonian, with_zero_hopping
 
 LADDER = pauli_to_pmr(parse_hamiltonian("1.0 Z\n1.0 X\n"))
@@ -608,6 +608,26 @@ class TestSystemSegment:
         ref, _ = oaa_segment(CompositeState.from_system(ops.layout, psi), ops)
         assert np.max(np.abs(out - ref.block(0))) <= 1e-12
 
+    def test_diagonal_phases_built_once(self, monkeypatch):
+        # e^{-i dt E} is built with the operators: a segment takes no exp and
+        # reads no diagonal value
+        def refuse(*args, **kwargs):
+            raise AssertionError("a segment rebuilt the diagonal phases")
+
+        for rng, h, g, plan in segment_cases():
+            ops = SegmentOperators(h, g, plan)
+            assert np.array_equal(
+                ops.diagonal_phases, np.exp(-1j * plan.delta_t * h.diagonal_values())
+            )
+            ops.phases  # the composite's phase rows, built on first use
+            psi = random_state(rng, h.n_qubits)
+            with monkeypatch.context() as m:
+                m.setattr(np, "exp", refuse)
+                m.setattr(PmrHamiltonian, "diagonal_values", refuse)
+                out, _ = system_segment(psi, ops)
+                ref, _ = oaa_segment(CompositeState.from_system(ops.layout, psi), ops)
+            assert np.max(np.abs(out - ref.block(0))) <= 1e-12
+
 
 class TestEvolveLcu:
     def test_zero_time_identity(self):
@@ -684,7 +704,7 @@ class TestEvolveLcu:
         h = random_pmr_hamiltonian(rng, n=3, m_terms=3)
         g = gamma_bounds(h)
         psi = random_state(rng, 3)
-        with pytest.raises(CompositeBudgetError):
+        with pytest.raises(WorkBudgetExceededError):
             evolve_lcu(h, g, psi, 1.0, 1e-6, composite_budget=100)
         # the budget counts stored amplitudes: anc_dim blocks of 2^N
         h = random_pmr_hamiltonian(rng, n=2, m_terms=2)
@@ -693,8 +713,28 @@ class TestEvolveLcu:
         plan = plan_segments(h, g, 0.9, 1e-5)
         exact = AncillaLayout(plan.Q, h.m).anc_dim << h.n_qubits
         evolve_lcu(h, g, psi, 0.9, 1e-5, composite_budget=exact)
-        with pytest.raises(CompositeBudgetError, match=r"2 \* sum_\{q<=Q\} M\^q \* 2\^N"):
+        with pytest.raises(WorkBudgetExceededError, match=r"2 \* sum_\{q<=Q\} M\^q \* 2\^N"):
             evolve_lcu(h, g, psi, 0.9, 1e-5, composite_budget=exact - 1)
+
+    def test_runs_take_the_callers_plan(self, monkeypatch):
+        # _evolve_lcu_runs plans nothing: it runs the plan it is handed,
+        # diagonal-only plans included, bit for bit as evolve_lcu
+        def refuse(*args, **kwargs):
+            raise AssertionError("_evolve_lcu_runs planned again")
+
+        rng = np.random.default_rng(127)
+        psi = random_state(rng, 2)
+        diagonal = pauli_to_pmr(parse_hamiltonian("0.8 ZZ\n-0.3 ZI\n"))
+        for h, t in ((random_pmr_hamiltonian(rng, n=2, m_terms=3), 1.1), (diagonal, 2.3)):
+            g = gamma_bounds(h)
+            plan = plan_segments(h, g, t, 1e-4)
+            ref, ref_diags = evolve_lcu(h, g, psi, t, 1e-4)
+            with monkeypatch.context() as m:
+                m.setattr(lcu, "plan_segments", refuse)
+                out, diags, _ = lcu._evolve_lcu_runs(h, g, psi, plan, LcuConfig())
+            assert np.array_equal(out, ref)
+            assert diags == ref_diags
+            assert len(diags) == (0 if plan.diagonal_only else plan.r)
 
     def test_deterministic(self):
         rng = np.random.default_rng(89)
