@@ -151,12 +151,15 @@ def cmd_lcu(args) -> int:
     config = LcuConfig(phase_bits=args.phase_bits, dd=DdConfig(method=args.dd_method))
     start = time.perf_counter()
     quantized = args.phase_bits is not None
-    # the exact-phase run shares the quantized run's path coefficients
-    out, diags, exact_out = _evolve_lcu_runs(h, g, psi, plan, config, exact_too=quantized)
+    # the exact-phase run shares the quantized run's path coefficients, and
+    # error_2norm the oracle of its trace residuals (N <= 6)
+    out, diags, exact_out, oracle = _evolve_lcu_runs(h, g, psi, plan, config, exact_too=quantized)
     elapsed = time.perf_counter() - start
     error = None
     if h.n_qubits <= DENSE_THRESHOLD:
-        error = _norm(out - DenseOracle(h).evolve(psi, args.t))
+        if oracle is None:
+            oracle = DenseOracle(h)
+        error = _norm(out - oracle.evolve(psi, args.t))
     quant_error = _norm(out - exact_out) if quantized else None
     header = [
         "hamiltonian", "N", "M", "segment", "t", "epsilon", "T", "r", "Q", "s",

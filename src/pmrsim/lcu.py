@@ -525,14 +525,16 @@ def _evolve_lcu_runs(
     config: LcuConfig,
     composite_budget: int = DEFAULT_COMPOSITE_BUDGET,
     exact_too: bool = False,
-) -> tuple[np.ndarray, list[SegmentDiagnostics], np.ndarray | None]:
-    """``evolve_lcu``'s (output, diagnostics) on the caller's ``plan``, and
-    with ``exact_too`` the output of the same run at exact phases.  Both
-    runs take V's rows from one path-coefficient build."""
+) -> tuple[np.ndarray, list[SegmentDiagnostics], np.ndarray | None, DenseOracle | None]:
+    """``evolve_lcu``'s (output, diagnostics) on the caller's ``plan``, with
+    ``exact_too`` the output of the same run at exact phases, and the dense
+    oracle built for the trace residuals, or None.  Both runs take V's rows
+    from one path-coefficient build; the oracle is built only once the run
+    has passed its budgets."""
     state = np.asarray(state, dtype=complex)
     if plan.diagonal_only:
         out = apply_diagonal(h, state, plan.t_total)
-        return out, [], out if exact_too else None
+        return out, [], out if exact_too else None, None
     _price(AncillaLayout(plan.Q, h.m).anc_dim << h.n_qubits, composite_budget,
            f"2 * sum_{{q<={plan.Q}}} {h.m}^q * 2^{h.n_qubits}",
            "composite dimension 2 * sum_{q<=Q} M^q * 2^N")
@@ -544,7 +546,7 @@ def _evolve_lcu_runs(
     exact = None
     if exact_too:
         exact, _ = _run_segments(ops, ops.flip_rows(None), state, None)
-    return out, diags, exact
+    return out, diags, exact, oracle
 
 
 def evolve_lcu(
@@ -571,5 +573,5 @@ def evolve_lcu(
     ``series.WorkBudgetExceededError``.
     """
     plan = plan_segments(h, g, t, epsilon)
-    out, diags, _ = _evolve_lcu_runs(h, g, state, plan, config or LcuConfig(), composite_budget)
+    out, diags, _, _ = _evolve_lcu_runs(h, g, state, plan, config or LcuConfig(), composite_budget)
     return out, diags

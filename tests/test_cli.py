@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,9 @@ import pytest
 
 from pmrsim import (
     DenseOracle,
+    DiagonalOperator,
+    PermutationOperator,
+    PmrHamiltonian,
     dense_matrix,
     gamma_bounds,
     parse_hamiltonian_file,
@@ -20,7 +24,7 @@ from pmrsim import (
 )
 from pmrsim import cli, lcu, series
 from pmrsim.cli import main
-from pmrsim.models import MODEL_NAMES
+from pmrsim.models import MODEL_NAMES, build_named_model
 
 DATA = Path(__file__).parent / "data"
 SAMPLE = str(DATA / "sample4q.txt")
@@ -403,6 +407,34 @@ class TestLcuCommand:
         assert len(plans) == 1
         assert read_csv(out)[-1]["r"] == str(plans[0].r)
 
+    def test_one_dense_oracle_per_command(self, tmp_path, monkeypatch):
+        # the oracle of the trace residuals (N <= 6) also gives error_2norm; a
+        # diagonal-only run has no segments and builds its own; a run refused
+        # by its budget builds none
+        builds = []
+        init = DenseOracle.__init__
+
+        def counted(self, h):
+            builds.append(h.n_qubits)
+            init(self, h)
+
+        monkeypatch.setattr(DenseOracle, "__init__", counted)
+        out = tmp_path / "run.csv"
+        for path, n, segments in ((SAMPLE, 4, 3), (write_diag_file(tmp_path), 3, 0)):
+            builds.clear()
+            assert main(
+                ["lcu", "--hamiltonian", path, "--t", "0.9", "--epsilon", "1e-3",
+                 "--phase-bits", "16", "--check", "--output", str(out)]
+            ) == 0
+            assert builds == [n]
+            rows = read_csv(out)
+            assert len(rows) == segments + 1
+            assert all(row["trace_residual"] != "" for row in rows[:-1])
+            assert rows[-1]["error_2norm"] != ""
+        builds.clear()
+        assert main(["lcu", "--hamiltonian", SAMPLE, "--t", "1e9"]) == 3
+        assert builds == []
+
     def test_composite_refused_by_the_series_budget(self, capsys):
         # the composite is priced by the one series helper, in the words the
         # lcu command has always printed
@@ -573,6 +605,76 @@ class TestOracleUtilities:
             assert np.max(np.abs(u @ u.conj().T - eye)) < 1e-11
             composed = oracle.unitary(0.4) @ oracle.unitary(0.9)
             assert np.max(np.abs(composed - oracle.unitary(1.3))) < 1e-10
+
+    @pytest.mark.parametrize("name", ("sample4q",) + MODEL_NAMES)
+    def test_real_route_equals_complex_eigh(self, name):
+        # a real H is solved in real arithmetic; the complex eigh of the same
+        # matrix gives the same propagator to rounding
+        from conftest import random_state
+
+        if name == "sample4q":
+            h = pauli_to_pmr(parse_hamiltonian_file(SAMPLE))
+        else:
+            # two qubits per site or orbital in these two
+            n = 4 if name in ("fermi_hubbard", "electronic_structure") else 8
+            h, _ = build_named_model(name, n)
+        assert h.n_qubits == (4 if name == "sample4q" else 8)
+        oracle = DenseOracle(h)
+        assert oracle.eigenvectors.dtype == np.float64
+        matrix = dense_matrix(h)
+        w, v = np.linalg.eigh(0.5 * (matrix + matrix.conj().T))
+        psi = random_state(np.random.default_rng(5), h.n_qubits)
+        for t in (0.7, -2.3):
+            phases = np.exp(-1j * t * w)
+            u = (v * phases) @ v.conj().T
+            assert np.max(np.abs(oracle.unitary(t) - u)) <= 1e-12
+            assert np.linalg.norm(oracle.evolve(psi, t) - u @ psi) <= 1e-12
+
+    def test_complex_route_keeps_the_complex_formula(self):
+        # the first acceptance-family H whose Y terms leave an imaginary part
+        # keeps complex eigenvectors, and its answers are bit for bit the
+        # complex formula
+        from conftest import random_pmr_hamiltonian, random_state
+
+        family = np.random.default_rng(20240501)
+        while True:
+            h = random_pmr_hamiltonian(family, n=4, m_terms=4, coupling=1.0)
+            random_state(family, 4)
+            matrix = dense_matrix(h)
+            if matrix.imag.any():
+                break
+        oracle = DenseOracle(h)
+        assert oracle.eigenvectors.dtype == np.complex128
+        w, v = np.linalg.eigh(0.5 * (matrix + matrix.conj().T))
+        assert np.array_equal(oracle.eigenvalues, w)
+        assert np.array_equal(oracle.eigenvectors, v)
+        psi, t = random_state(np.random.default_rng(6), 4), 1.7
+        phases = np.exp(-1j * t * w)
+        assert np.array_equal(oracle.evolve(psi, t), v @ (phases * (v.conj().T @ psi)))
+        assert np.array_equal(oracle.unitary(t), (v * phases) @ v.conj().T)
+
+    def test_non_hermitian_matrix_refused(self):
+        # M[z ^ 1, z] = d(z ^ 1): d = (1 + Z_0)/2 gives a real matrix with
+        # M[0, 1] = 1 and M[1, 0] = 0; d = i gives i X, complex
+        for d in (DiagonalOperator([(0.5, 0), (0.5, 1)], 2), DiagonalOperator([(1j, 0)], 2)):
+            h = PmrHamiltonian(DiagonalOperator([(0.3, 2)], 2), [(d, PermutationOperator(1))], 2)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                DenseOracle(h)
+
+    def test_real_oracle_holds_no_complex_matrix(self):
+        # a real 10-qubit H: 2^20 entries, 8.4 MB real and 16.8 MB complex;
+        # the build peaks at the complex dense_matrix plus one real copy of
+        # it.  The complex route peaks at three complex arrays (50.5 MB)
+        h, _ = build_named_model("schwinger", 10, t=0.07)
+        tracemalloc.start()
+        try:
+            oracle = DenseOracle(h)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
+        assert held <= 9e6
+        assert not hasattr(oracle, "matrix")
 
     def test_trotter_comparator_first_order(self):
         # non-core baseline: halving the step size halves the error

@@ -731,7 +731,7 @@ class TestEvolveLcu:
             ref, ref_diags = evolve_lcu(h, g, psi, t, 1e-4)
             with monkeypatch.context() as m:
                 m.setattr(lcu, "plan_segments", refuse)
-                out, diags, _ = lcu._evolve_lcu_runs(h, g, psi, plan, LcuConfig())
+                out, diags, _, _ = lcu._evolve_lcu_runs(h, g, psi, plan, LcuConfig())
             assert np.array_equal(out, ref)
             assert diags == ref_diags
             assert len(diags) == (0 if plan.diagonal_only else plan.r)
