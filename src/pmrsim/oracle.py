@@ -8,10 +8,10 @@ Two routes give the same propagator, and the matrix picks between them.  When
 the matrix of H has no imaginary part, as for every sample model and
 ``tests/data/sample4q.txt``, it is real symmetric and so has a real
 orthonormal eigenbasis V: the oracle checks and symmetrizes H, solves the
-real eigenproblem and builds e^{-iHt} = V e^{-i Lambda t} V^T from real
-products.  That is exact, not an approximation: the complex eigenproblem of
-the same matrix gives the same propagator to rounding, at several times the
-solve time and twice the memory.  A matrix with an imaginary part takes the
+real eigenproblem and builds the dense e^{-iHt} = V e^{-i Lambda t} V^T
+from real products.  That is exact, not an approximation: the complex
+eigenproblem of the same matrix gives the same propagator to rounding, at
+several times the solve time and twice the memory.  A matrix with an imaginary part takes the
 complex route, V e^{-i Lambda t} V^dagger with complex V.
 """
 
@@ -24,20 +24,12 @@ from .pmr import PmrHamiltonian, dense_matrix
 __all__ = ["DenseOracle"]
 
 
-def _real_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for a real matrix ``a`` and a complex vector ``x``, taken on the
-    real and imaginary parts of x side by side, so ``a`` is never cast to
-    complex."""
-    x = np.ascontiguousarray(x)
-    return (a @ x.view(np.float64).reshape(len(x), -1)).view(complex).reshape(x.shape)
-
-
 class DenseOracle:
     """Exact evolution oracle for one Hamiltonian with N <= DENSE_THRESHOLD.
 
     ``eigenvectors`` are float64 when ``dense_matrix(h)`` is real, and
-    ``evolve`` and ``unitary`` then work in real products (module docstring);
-    otherwise they are complex128.  Only the eigenpairs are kept, not the
+    ``unitary`` then works in real products (module docstring); otherwise
+    they are complex128.  Only the eigenpairs are kept, not the
     matrix.  Raises ValueError above that size or when the matrix is not
     Hermitian.
     """
@@ -59,9 +51,7 @@ class DenseOracle:
         """e^{-iHt} applied to a state vector."""
         state = np.asarray(state, dtype=complex)
         v, phases = self.eigenvectors, np.exp(-1j * t * self.eigenvalues)
-        if v.dtype == complex:
-            return v @ (phases * (v.conj().T @ state))
-        return _real_times(v, phases * _real_times(v.T, state))
+        return v @ (phases * (v.conj().T @ state))
 
     def unitary(self, t: float) -> np.ndarray:
         """Dense e^{-iHt}."""

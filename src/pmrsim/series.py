@@ -454,8 +454,7 @@ def _reach(h: PmrHamiltonian, support: np.ndarray, flips: int) -> np.ndarray:
     post-flip state is nonzero.  It grows breadth first: each step flips
     the frontier, the states found last, by every mask, and the distinct
     candidates not yet reached whose ``h.hop_flags`` entry is set are the
-    next frontier (a sort and a neighbour compare), in O(M * |frontier|)
-    work up to the sort's log factor; ``flips`` = 0 is the support."""
+    next frontier, in O(M * |frontier|) work; ``flips`` = 0 is the support."""
     if not flips:
         return support
     reach, front = support.copy(), np.flatnonzero(support)
@@ -464,10 +463,7 @@ def _reach(h: PmrHamiltonian, support: np.ndarray, flips: int) -> np.ndarray:
         if not len(front):
             break
         cand = front ^ masks
-        new = np.sort(cand[hop[terms, cand] & ~reach[cand]])
-        first = np.ones(len(new), dtype=bool)
-        first[1:] = new[1:] != new[:-1]
-        front = new[first]
+        front = np.unique(cand[hop[terms, cand] & ~reach[cand]])
         reach[front] = True
     return reach
 
