@@ -12,10 +12,13 @@ conditioned on the ancilla, a diagonal phase pair and the path's bit flips.
 ``evolve_lcu`` plans once and runs each segment on the system register
 alone.  With V = <0|W|0>, the ancilla-zero block of A is exactly
 3V - 4VV'V (Berry, Childs, Cleve, Kothari & Somma, PRL 114, 090502, 2015).
-B|0> is the real weight state psi0, so V = sum_a psi0_a^2 U_a, where U_a is
-ancilla index a's phase row followed by its flip.  Indices that share a
-flip mask f merge into one row c_f(z), which leaves
-F <= min(anc_dim / 2, 2^N) rows, and V x = sum_f (c_f x)[z ^ f],
+B|0> is the real weight state psi0, with psi0_a^2 = w_p / 2s on both k of
+path p and weight w_p = gamma_path |dt|^q / q!, so
+V = (1/s) sum_p w_p b_p(z) P_p, with P_p the path's flip and b_p the mean of
+its phase pair: the path's coefficient over w_p at exact phases, where
+V = U_od / s, and the mean of the two rounded phases at b bits.  Paths that
+share a flip mask f merge into one row c_f(z), which leaves
+F <= min(P, 2^N) rows, and V x = sum_f (c_f x)[z ^ f],
 V' x = sum_f conj(c_f) x[z ^ f]: the ``series._FlipRows`` form of an
 enumerated segment.  Every refusal is ``series._price``'s
 ``WorkBudgetExceededError``, as in ``series``.
@@ -26,14 +29,12 @@ ancilla x system state through the circuit.  It is the reference that the
 system-register segment is checked against; no run goes through it.
 
 Everything is plain state-vector arithmetic, and no operator is
-materialized densely.  Each SegmentOperators divides the path table it
+materialized densely.  Each SegmentOperators keeps the path table it
 shares with ``series`` (``series._path_table``: every path of up to Q
-flips over all M terms) in place by the path weights.  A path that is zero
-at every source is not evaluated and gets beta = 0.  It keeps one flip
-mask per ancilla index and V at its phase precision; ``flip_rows`` builds
-V at another precision from the same coefficients.  With exact phases V's
-rows come straight from beta; a phase row per ancilla index is built for
-quantized phases and for the composite reference.
+flips over all M terms; a path zero at every source is not evaluated) and
+the path weights, and ``flip_rows`` builds V at any precision from them.
+beta = coefficient / w_p and its phase pair are formed only for quantized
+phases and for the composite reference, whose psi0 is built on first use.
 """
 
 from __future__ import annotations
@@ -110,14 +111,20 @@ class LcuConfig:
     """Phase quantization, divided-difference method, and s forcing.
 
     ``phase_bits`` of None keeps phases exact; an integer b rounds each
-    angle chi +/- phi up to a multiple of 2 pi / 2^b.  ``s_override``
-    re-pads the working bounds so the weight normalization equals the given
-    value exactly (useful for forcing s = 2).
+    angle chi +/- phi up to a multiple of 2 pi / 2^b, for 1 <= b <= 1023
+    (2^1024 overflows a float).  ``s_override`` re-pads the working bounds
+    so the weight normalization equals the given value exactly (useful for
+    forcing s = 2).
     """
 
     phase_bits: int | None = None
     dd: DdConfig = field(default_factory=DdConfig)
     s_override: float | None = None
+
+    def __post_init__(self):
+        bits = self.phase_bits
+        if bits is not None and (not isinstance(bits, (int, np.integer)) or not 1 <= bits <= 1023):
+            raise ValueError(f"phase_bits must be an integer in [1, 1023], got {bits!r}")
 
 
 @dataclass
@@ -179,7 +186,8 @@ def lcu_weights(
 
     Default: the plan's padded bounds with s = sum_{q<=Q} (ln 2)^q/q!.
     With ``s_override`` the bounds are re-padded so the partial sum hits the
-    requested s exactly.
+    requested s exactly; an s that would shrink them below the supplied
+    bounds is refused, since a path weight must bound its coefficient.
     """
     config = config or LcuConfig()
     if config.s_override is None:
@@ -188,6 +196,8 @@ def lcu_weights(
         raise ValueError("s_override requires a plan with Q >= 1")
     x = _solve_weight_rate(plan.Q, config.s_override)
     scale = x / (g.gamma_total * abs(plan.delta_t))
+    if scale < 1.0:
+        raise ValueError(f"s_override = {config.s_override} shrinks the bounds below gamma")
     return scale * np.asarray(g.gamma, dtype=float), float(config.s_override)
 
 
@@ -260,24 +270,14 @@ def _quantize_angle(theta: np.ndarray, bits: int) -> np.ndarray:
     return np.ceil(wrapped / step) * step
 
 
-def _path_betas(
-    h: PmrHamiltonian, gam: np.ndarray, plan: SegmentPlan, dd: DdConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative flip masks (P,) and path coefficients beta (P, 2^N) of all
-    P = sum_{q<=Q} M^q paths of up to Q flips, in ``AncillaLayout.paths()``
-    order.  beta is the ``series._path_table`` coefficient over the path
-    weight gamma_path |dt|^q / q!, so it does not depend on the phase
-    precision; a path that table leaves zero, or whose weight is zero, gets
-    beta = 0.  The table is divided in place, so it is never held twice."""
-    flips, betas = _path_table(h, plan, dd)
+def _path_weights(gam: np.ndarray, plan: SegmentPlan) -> np.ndarray:
+    """Weights w_p = gamma_path |dt|^q / q! of the P = sum_{q<=Q} M^q paths,
+    in ``AncillaLayout.paths()`` order, one outer product per level."""
     weight, gam_path = [np.ones(1)], np.ones(1)
     for q in range(1, plan.Q + 1):
         gam_path = np.outer(gam_path, gam).reshape(-1)
         weight.append(gam_path * abs(plan.delta_t) ** q / math.factorial(q))
-    weight = np.concatenate(weight)[:, None]
-    np.divide(betas, weight, out=betas, where=weight != 0.0)
-    betas[weight[:, 0] == 0.0] = 0.0
-    return flips, betas
+    return np.concatenate(weight)
 
 
 def _phase_pair(beta: np.ndarray, phase_bits: int | None) -> np.ndarray:
@@ -295,12 +295,13 @@ def _phase_pair(beta: np.ndarray, phase_bits: int | None) -> np.ndarray:
 
 
 class SegmentOperators:
-    """Per-plan tables: the weight state; per ancilla index a, the path's flip
-    mask and phase row e^{i theta_k(z)}; and V = <0|W|0> on the system
-    register as ``series._FlipRows``, ``v``.  The paths of ``_path_betas``
-    come in ``AncillaLayout.paths()`` order, so row a is the path of rank
-    a >> 1 with k = a & 1.  ``diagonal_phases`` is e^{-i dt E}.  The phase
-    rows are built on first use: with exact phases V does not need them.
+    """Per-plan tables: the flip masks and coefficients of the P paths of
+    U_od (``series._path_table``, in ``AncillaLayout.paths()`` order), their
+    weights w_p, and V = <0|W|0> on the system register as
+    ``series._FlipRows``, ``v``.  ``diagonal_phases`` is e^{-i dt E}.  The
+    composite reference's weight state ``psi0`` and phase rows ``phases``
+    are built on first use; row a of them is the path of rank a >> 1 with
+    k = a & 1.
     """
 
     def __init__(
@@ -311,49 +312,57 @@ class SegmentOperators:
         config: LcuConfig | None = None,
     ):
         self.h = h
+        self._g = g
         self.plan = plan
         self.config = config or LcuConfig()
         self.layout = AncillaLayout(plan.Q, h.m)
         self.gam, self.s = lcu_weights(g, plan, self.config)
-        self.psi0 = prepare_psi0(g, plan, self.config)
         self.diagonal_phases = np.exp(-1j * plan.delta_t * h.diagonal_values())
-        cum, self._beta = _path_betas(h, self.gam, plan, self.config.dd)
-        self.flips = np.repeat(cum, 2)
+        self._flips, self._coeffs = _path_table(h, plan, self.config.dd)
+        self._weights = _path_weights(self.gam, plan)
         self.v = self.flip_rows(self.config.phase_bits)
+
+    @cached_property
+    def psi0(self) -> np.ndarray:
+        """The weight state B|0>, ``prepare_psi0``'s."""
+        return prepare_psi0(self._g, self.plan, self.config)
+
+    def _beta(self) -> np.ndarray:
+        """beta (P, 2^N) = coefficient / w_p, 0 where w_p = 0."""
+        w = self._weights[:, None]
+        return np.divide(self._coeffs, w, out=np.zeros_like(self._coeffs), where=w != 0.0)
 
     @cached_property
     def phases(self) -> np.ndarray:
         """Phase rows e^{i theta_a(z)}, one per ancilla index, from the path
         coefficients at ``config.phase_bits``."""
-        return _phase_pair(self._beta, self.config.phase_bits)
+        return _phase_pair(self._beta(), self.config.phase_bits)
 
     def flip_rows(self, phase_bits: int | None) -> _FlipRows:
-        """V at ``phase_bits`` from these path coefficients, no path evaluated
-        again: rows c_f(z) = sum_{a: flip_a = f} psi0_a^2 e^{i theta_a(z)}.
-
-        With exact phases a path's pair sums to e^{i(chi + phi)} +
-        e^{i(chi - phi)} = 2 cos(phi) e^{i chi} = 2 min(|beta|, 1) e^{i chi},
-        which is beta / max(|beta|, 1): V then needs no phase row."""
+        """V = (1/s) sum_p w_p b_p P_p at ``phase_bits`` from these path
+        coefficients, no path evaluated again, one row per path.  With exact
+        phases w_p b_p is the coefficient itself, so V's rows are the table
+        over s; with b bits b_p is the mean of the path's rounded phase
+        pair."""
         if phase_bits is None:
-            flips, weight = self.flips[::2], 2.0 * self.psi0[::2] ** 2
-            terms = self._beta / np.maximum(np.abs(self._beta), 1.0)
-        else:
-            flips, weight, terms = self.flips, self.psi0 ** 2, _phase_pair(self._beta, phase_bits)
-        return _FlipRows(flips, weight[:, None] * terms)
+            return _FlipRows(self._flips, self._coeffs / self.s)
+        pair = _phase_pair(self._beta(), phase_bits)
+        mean = 0.5 * (pair[0::2] + pair[1::2])
+        return _FlipRows(self._flips, (self._weights / self.s)[:, None] * mean)
 
     @cached_property
     def gather(self) -> np.ndarray:
         """``apply_U_C``'s flat gather index a * 2^N + (z ^ flip_a), built on
         first use."""
         dim = 1 << self.h.n_qubits
-        size = len(self.flips) * dim
+        size = 2 * len(self._flips) * dim
         flat = np.arange(size, dtype=np.min_scalar_type(size))
-        return (flat.reshape(-1, dim) ^ self.flips[:, None].astype(flat.dtype)).ravel()
+        return (flat.reshape(-1, 2, dim) ^ self._flips[:, None, None].astype(flat.dtype)).ravel()
 
     def tables(self, path: tuple[int, ...]):
         """(cum, phase0, phase1): one path's flip mask and phase pair."""
         a = self.layout.index(tuple(path), 0)
-        return int(self.flips[a]), self.phases[a], self.phases[a + 1]
+        return int(self._flips[a >> 1]), self.phases[a], self.phases[a + 1]
 
 
 def apply_U_C(

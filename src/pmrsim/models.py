@@ -310,13 +310,14 @@ class ElectronicStructureTimes:
     taylor_terms: int
 
 
-def _cos_sums(data: PlaneWaveData) -> np.ndarray:
-    """c[p, q] = sum_nu k_nu^2 cos(k_nu . (r_q - r_p))."""
+def _plane_wave_sums(data: PlaneWaveData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k_nu^2, the cosines cos(k_nu . (r_q - r_p)) [nu, p, q] and the nuclear
+    sums sum_j zeta_j cos(k_nu . (R_j - r_p)) [nu, p]."""
     k = data.k_vectors
-    k2 = np.einsum("ij,ij->i", k, k)
     disp = data.r_points[None, :, :] - data.r_points[:, None, :]  # [p, q]
-    phases = np.einsum("nd,pqd->npq", k, disp)
-    return np.einsum("n,npq->pq", k2, np.cos(phases))
+    nuc_phase = np.einsum("nd,pjd->npj", k, data.r_nuclei[None, :, :] - data.r_points[:, None, :])
+    return (np.einsum("ij,ij->i", k, k), np.cos(np.einsum("nd,pqd->npq", k, disp)),
+            np.einsum("j,npj->np", data.zeta, np.cos(nuc_phase)))
 
 
 def electronic_structure_times(data: PlaneWaveData, t: float) -> ElectronicStructureTimes:
@@ -327,20 +328,16 @@ def electronic_structure_times(data: PlaneWaveData, t: float) -> ElectronicStruc
     adds every coefficient magnitude including the nuclear attraction part.
     """
     n = data.n_basis
-    k = data.k_vectors
-    k2 = np.einsum("ij,ij->i", k, k)
-    c = _cos_sums(data)
+    k2, cos_pq, nuc_sum = _plane_wave_sums(data)
+    c = np.einsum("n,npq->pq", k2, cos_pq)  # c[p, q] = sum_nu k_nu^2 cos(k_nu . (r_q - r_p))
     off = ~np.eye(n, dtype=bool)
     T = abs(t) * (n - 1) * float(np.sum(np.abs(c[off])))
-    disp = data.r_points[None, :, :] - data.r_points[:, None, :]
-    cos_pq = np.cos(np.einsum("nd,pqd->npq", k, disp))
     per_nu = (
         np.pi / (data.omega * k2)[:, None, None] + (k2 / (2.0 * n))[:, None, None]
     ) * np.abs(cos_pq)
     first = float(np.sum(per_nu[:, off]))
     # per-point nuclear term: sum_j zeta_j cos(k . (R_j - r_p)) / k^2
-    nuc_phase = np.einsum("nd,pjd->npj", k, data.r_nuclei[None, :, :] - data.r_points[:, None, :])
-    nuc = np.einsum("j,npj->np", data.zeta, np.cos(nuc_phase)) / k2[:, None]
+    nuc = nuc_sum / k2[:, None]
     inner = np.pi / (data.omega * k2)[:, None] - (k2 / (4.0 * n))[:, None] + (
         2.0 * np.pi / data.omega
     ) * nuc
@@ -363,22 +360,14 @@ def build_electronic_structure(
     """
     n = data.n_basis
     n_q = 2 * n
-    k = data.k_vectors
-    k2 = np.einsum("ij,ij->i", k, k)
-    c = _cos_sums(data)
-    nuc_phase = np.einsum(
-        "nd,pjd->npj", k, data.r_nuclei[None, :, :] - data.r_points[:, None, :]
-    )
+    k2, cos_pq, nuc_sum = _plane_wave_sums(data)
+    c = np.einsum("n,npq->pq", k2, cos_pq)
     z_coeff = (
         np.pi / (data.omega * k2)[:, None]
         - (k2 / (4.0 * n))[:, None]
-        + (2.0 * np.pi / data.omega)
-        * np.einsum("j,npj->np", data.zeta, np.cos(nuc_phase))
-        / k2[:, None]
+        + (2.0 * np.pi / data.omega) * nuc_sum / k2[:, None]
     ).sum(axis=0)
-    zz = (np.pi / (2.0 * data.omega)) * np.einsum(
-        "n,npq->pq", 1.0 / k2, np.cos(np.einsum("nd,pqd->npq", k, data.r_points[None, :, :] - data.r_points[:, None, :]))
-    )
+    zz = (np.pi / (2.0 * data.omega)) * np.einsum("n,npq->pq", 1.0 / k2, cos_pq)
     strings = []
     ident = float(np.sum(k2 / 2.0 - np.pi * n / (data.omega * k2)))
     if ident != 0.0:

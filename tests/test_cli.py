@@ -311,10 +311,10 @@ class TestLcuCommand:
         plan = plan_segments(h, gamma_bounds(h), 0.9, 1e-3)
         for method, batches in (("taylor", 0), ("leibniz", plan.Q)):
             builds, calls = [], []
-            path_betas, dd_exp = lcu._path_betas, series.dd_exp
+            path_table, dd_exp = lcu._path_table, series.dd_exp
 
             def counted_builds(*args, **kwargs):
-                builds.append(path_betas(*args, **kwargs))
+                builds.append(path_table(*args, **kwargs))
                 return builds[-1]
 
             def counted(*args, **kwargs):
@@ -322,7 +322,7 @@ class TestLcuCommand:
                 return dd_exp(*args, **kwargs)
 
             with monkeypatch.context() as m:
-                m.setattr(lcu, "_path_betas", counted_builds)
+                m.setattr(lcu, "_path_table", counted_builds)
                 m.setattr(series, "dd_exp", counted)
                 out = tmp_path / f"{method}.csv"
                 assert main(
@@ -334,6 +334,41 @@ class TestLcuCommand:
             assert len(builds[0][0]) == sum(h.m ** q for q in range(plan.Q + 1))
             assert len(calls) == batches
             assert read_csv(out)[-1]["quantization_error"] != ""
+
+    def test_phase_bits_out_of_range_exit_2(self, tmp_path, capsys):
+        # b must keep 2^b a finite float and the grid 2 pi / 2^b finer than a turn
+        argv = ["lcu", "--hamiltonian", SAMPLE, "--t", "0.9", "--epsilon", "1e-3",
+                "--output", str(tmp_path / "run.csv"), "--phase-bits"]
+        for bits in ("0", "-3", "1024"):
+            assert main(argv + [bits]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("input error: phase_bits")
+        for bits in ("1", "1023"):
+            assert main(argv + [bits]) == 0
+            assert read_csv(tmp_path / "run.csv")[-1]["phase_bits"] == bits
+
+    def test_run_path_builds_no_weight_state(self, tmp_path, monkeypatch):
+        # V is built from the path table and weights alone: psi0 belongs to
+        # the composite reference and is built on first use
+        h = pauli_to_pmr(parse_hamiltonian_file(SAMPLE))
+        g = gamma_bounds(h)
+        psi = np.full(1 << h.n_qubits, 0.25, dtype=complex)
+        argv = ["lcu", "--hamiltonian", SAMPLE, "--t", "0.9", "--epsilon", "1e-3",
+                "--output", str(tmp_path / "run.csv")]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run path built the weight state")
+
+        with monkeypatch.context() as m:
+            m.setattr(lcu, "prepare_psi0", refuse)
+            for config in (lcu.LcuConfig(), lcu.LcuConfig(phase_bits=8)):
+                _, diags = lcu.evolve_lcu(h, g, psi, 0.9, 1e-3, config)
+                assert diags
+            for extra in ([], ["--phase-bits", "16"]):
+                assert main(argv + extra) == 0
+            plan = plan_segments(h, g, 0.9, 1e-3)
+            ops = lcu.SegmentOperators(h, g, plan)
+        assert np.array_equal(ops.psi0, lcu.prepare_psi0(g, plan, ops.config))
 
     @pytest.mark.parametrize("method", ["taylor", "pyramid", "leibniz"])
     def test_agrees_with_series_run(self, tmp_path, method):

@@ -357,6 +357,13 @@ class TestVectorizedTables:
                     assert np.array_equal(fwd.block(a), (phases * block)[z ^ cum])
                     assert np.array_equal(inv.block(a), phases.conj() * block[z ^ cum])
 
+    def test_s_override_below_the_bounds_refused(self):
+        # weights under the supplied bounds would not bound the path
+        # coefficients, so V would no longer be U_od / s
+        for h, g, plan in small_cases():
+            with pytest.raises(ValueError, match="below gamma"):
+                lcu_weights(g, plan, LcuConfig(s_override=1.0 + 1e-3))
+
     def test_prepare_psi0_per_path_formula(self):
         for h, g, plan in small_cases():
             for config in (LcuConfig(), LcuConfig(s_override=2.0)):
@@ -589,9 +596,35 @@ class TestSystemSegment:
             assert_same_rows(fresh.flip_rows(None), exact.v)
             assert not np.array_equal(exact.phases, fresh.phases)
 
+    def test_v_has_one_row_per_path(self, monkeypatch):
+        # V = (1/s) sum_p w_p b_p P_p merges one row per path at every
+        # precision; at exact phases the rows are the path table over s
+        built, flip_rows = [], lcu._FlipRows
+
+        def counted(flips, rows):
+            built.append(len(flips))
+            return flip_rows(flips, rows)
+
+        for _, h, g, plan in segment_cases():
+            flips, table = lcu._path_table(h, plan, DdConfig())
+            with monkeypatch.context() as m:
+                m.setattr(lcu, "_FlipRows", counted)
+                ops = SegmentOperators(h, g, plan, LcuConfig(phase_bits=8))
+                exact = ops.flip_rows(None)
+            assert built == [len(flips)] * 2
+            built.clear()
+            assert_same_rows(exact, flip_rows(flips, table / ops.s))
+
+    def test_phase_bits_range(self):
+        for bits in (0, -3, 1024, 2.5):
+            with pytest.raises(ValueError, match="phase_bits"):
+                LcuConfig(phase_bits=bits)
+        for bits in (None, 1, 1023, np.int64(16)):
+            assert LcuConfig(phase_bits=bits).phase_bits == bits
+
     def test_exact_v_needs_no_phase_rows(self, monkeypatch):
-        # with exact phases V's rows come from beta; apply_U_C still gets the
-        # phase rows, built on first use
+        # with exact phases V's rows come from the path table; apply_U_C
+        # still gets the phase rows, built on first use
         def refuse(*args, **kwargs):
             raise AssertionError("exact V went through the phase rows")
 
