@@ -182,9 +182,13 @@ def _taylor_row(start: complex, q: int, n_max: int, t: float) -> np.ndarray:
 
 def _add_input(h: np.ndarray, y) -> None:
     """Add the input y to the profile ``h`` in place, ascending in the degree
-    on axis 0: h_n(..., y) = h_n(...) + y * h_{n-1}(..., y)."""
-    for n in range(1, len(h)):
-        h[n] += y * h[n - 1]
+    on axis 0: h_n(..., y) = h_n(...) + y * h_{n-1}(..., y).  The profiles
+    are small, so numpy's per-call cost sets the time: the loop walks paired
+    views of ``h``, with no indexing per degree.  A complex ``h`` takes a
+    complex y: numpy has no float-by-complex loop and would cast a float y
+    on every degree, to the same bits."""
+    for h_n, h_prev in zip(h[1:], h[:-1]):
+        h_n += y * h_prev
 
 
 def _taylor_sum(y: np.ndarray, t: float, tol: float) -> np.ndarray:

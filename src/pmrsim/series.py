@@ -477,7 +477,9 @@ class _Recursion:
     values d_i at R ``coef`` (G, |R|, 1); position |R| points at a zero row.
     E and d_i are read on R alone, by ``h.values_at``.  The shifted
     energies y = E - c and the table ``pref`` come from ``_taylor_table``
-    over the energies on R.
+    over the energies on R.  ``y`` is held complex: the sweep adds it to
+    complex profiles, and one cast here replaces numpy's cast of a float y
+    on every degree step, with the same bits.
     """
 
     def __init__(self, h: PmrHamiltonian, plan: SegmentPlan, support: np.ndarray, flips: int):
@@ -493,8 +495,8 @@ class _Recursion:
         self.src_pos = src_pos[self.terms]
         self.coef = coef[self.terms, :, None]
         _, y, self.pref = _taylor_table(values[0].real, plan.delta_t, plan.Q)
-        self.y = y[:, None]
-        self.lift = np.exp(1j * plan.delta_t * self.y)  # e^{i dt y_z}: a source's weight
+        self.lift = np.exp(1j * plan.delta_t * y[:, None])  # e^{i dt y_z}: a source's weight
+        self.y = y.astype(complex)[:, None]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """U_od x for x (|R|,) or (|R|, k) on R: the empty path plus the

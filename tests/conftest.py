@@ -85,6 +85,12 @@ def exact_dd_exp(values, t):
     return complex(float(parts[0] - parts[2]), float(parts[3] - parts[1]))
 
 
+def add_input_loop(h, y):
+    """The input-addition step as the literal loop over degrees."""
+    for n in range(1, len(h)):
+        h[n] += y * h[n - 1]
+
+
 def random_pmr_hamiltonian(rng, n=4, m_terms=4, n_diag=3, coupling=1.0):
     """Random PMR Hamiltonian built from Pauli strings with |coefficients|
     below ``coupling`` and at most ``m_terms`` distinct flip patterns."""

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import add_input_loop
 
 from pmrsim.divdiff import (
     CancellationError,
@@ -22,6 +23,7 @@ from pmrsim.divdiff import (
     exp_prefactor,
     small_tau_error,
 )
+from pmrsim.divdiff import _add_input
 
 
 def prefactor(q, t):
@@ -114,6 +116,41 @@ class TestTaylor:
     def test_zero_time(self):
         assert dd_exp_taylor([1.0, 2.0], 0.0) == 0.0
         assert dd_exp_taylor([3.0], 0.0) == 1.0
+
+
+class TestAddInput:
+    """``_add_input`` equals the literal degree loop bit for bit on the
+    profiles of the taylor sweep, ``_path_levels`` and ``_taylor_sum``."""
+
+    @staticmethod
+    def assert_same_bits(h, y, ref_y=None):
+        ref = h.copy()
+        add_input_loop(ref, y if ref_y is None else ref_y)
+        _add_input(h, y)
+        assert h.tobytes() == ref.tobytes()
+
+    def test_sweep_profile(self):
+        # complex (n_deg, |R|, k), a view that leaves out the zero row |R|
+        rng = np.random.default_rng(31)
+        n_deg, n_rows, k = 14, 37, 3
+        prof = rng.normal(size=(n_deg, n_rows + 1, k)) + 1j * rng.normal(size=(n_deg, n_rows + 1, k))
+        prof *= 10.0 ** rng.integers(-8, 3, size=prof.shape)
+        y = rng.uniform(-4.0, 4.0, size=(n_rows, 1))
+        y[::5] = 0.0
+        for held in (y, y.astype(complex)):
+            self.assert_same_bits(prof.copy()[:, :n_rows], held, y)
+
+    def test_path_levels_profile(self):
+        # real (n_deg, kept, sources), with each path's own y per source
+        rng = np.random.default_rng(32)
+        prof = rng.normal(size=(11, 24, 16))
+        self.assert_same_bits(prof, rng.uniform(-3.0, 3.0, size=(24, 16)))
+
+    def test_taylor_sum_profile(self):
+        # real (n, rows), one input per row
+        rng = np.random.default_rng(33)
+        prof = rng.normal(size=(19, 40))
+        self.assert_same_bits(prof, rng.uniform(-5.0, 5.0, size=40))
 
 
 class TestPyramid:

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import exact_dd_exp, random_pmr_hamiltonian, random_state
+from conftest import add_input_loop, exact_dd_exp, random_pmr_hamiltonian, random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +32,6 @@ from pmrsim import (
     uod_matrix,
 )
 from pmrsim import divdiff, series
-from pmrsim.divdiff import _add_input
 from pmrsim.lcu import evolve_lcu
 from pmrsim.models import build_named_model
 from pmrsim.pmr import DiagonalOperator, PermutationOperator, PmrHamiltonian, hopping_strength
@@ -607,7 +606,8 @@ def with_term_zero_on_sector(h, n):
 
 def stacked_sweep_reference(h, rec, start):
     """``_Recursion.sweep`` as one gather per term in ascending term order,
-    with the same deposit product: the stacked sweep must equal it bitwise."""
+    with the same deposit product and the literal input-addition loop on the
+    float y: the stacked sweep must equal it bitwise."""
     n_rows = len(rec.states)
     pos = np.full(1 << h.n_qubits, n_rows)
     pos[rec.states] = np.arange(n_rows)
@@ -621,12 +621,13 @@ def stacked_sweep_reference(h, rec, start):
     out = np.zeros((n_rows, start.shape[1]), dtype=complex)
     prof = np.zeros((n_deg, n_rows + 1, start.shape[1]), dtype=complex)
     prof[0, :n_rows] = start
-    _add_input(prof[:, :n_rows], rec.y)
+    y = rec.y.real
+    add_input_loop(prof[:, :n_rows], y)
     for q in range(1, rec.pref.shape[0]):
         level = np.zeros((n_deg, n_rows, start.shape[1]), dtype=complex)
         for src_pos, coef in terms:
             level += coef * prof[:, src_pos]
-        _add_input(level, rec.y)
+        add_input_loop(level, y)
         out += (rec.pref[q] @ level.reshape(n_deg, -1)).reshape(out.shape)
         prof[:, :n_rows] = level
     return out
@@ -720,7 +721,7 @@ class TestStackedRecursion:
             block = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
             block[rng.random(1 << n) < 0.5] = 0.0
             rec = series._Recursion(h, plan, np.any(block != 0, axis=1), plan.Q)
-            start = np.exp(1j * plan.delta_t * rec.y) * block[rec.states]
+            start = np.exp(1j * plan.delta_t * rec.y.real) * block[rec.states]
             out = np.zeros_like(start)
             rec.sweep(out, start)
             assert np.array_equal(out, stacked_sweep_reference(h, rec, start))
