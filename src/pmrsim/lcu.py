@@ -264,10 +264,21 @@ def apply_B(state: CompositeState, psi0: np.ndarray) -> CompositeState:
 
 
 def _quantize_angle(theta: np.ndarray, bits: int) -> np.ndarray:
-    """Round angles up to the b-bit grid 2 pi m / 2^b, m integer."""
-    step = 2.0 * math.pi / (2.0 ** bits)
-    wrapped = np.mod(theta, 2.0 * math.pi)
-    return np.ceil(wrapped / step) * step
+    """Round angles in (-2 pi, 2 pi) up to the b-bit grid 2 pi m / 2^b, m
+    integer, in place; returns ``theta``.
+
+    The angles are first wrapped into [0, 2 pi].  On |theta| < 2 pi, fmod by
+    2 pi is exact and returns theta, so ``np.mod(theta, 2 pi)`` is
+    theta + 2 pi for theta < 0 and theta otherwise, with -0.0 taken to +0.0.
+    Adding (theta < 0) * 2 pi gives those same bits: theta + 0.0 is theta,
+    and -0.0 + 0.0 is +0.0."""
+    two_pi = 2.0 * math.pi
+    step = two_pi / (2.0 ** bits)
+    theta += (theta < 0) * two_pi
+    theta /= step
+    np.ceil(theta, out=theta)
+    theta *= step
+    return theta
 
 
 def _path_weights(gam: np.ndarray, plan: SegmentPlan) -> np.ndarray:
@@ -281,17 +292,31 @@ def _path_weights(gam: np.ndarray, plan: SegmentPlan) -> np.ndarray:
 
 
 def _phase_pair(beta: np.ndarray, phase_bits: int | None) -> np.ndarray:
-    """Phase rows e^{i theta_k}, theta_k = chi +/- phi, with beta (P, 2^N)
-    = cos(phi) e^{i chi}; row 2p + k is path p's, so row a is ancilla index
-    a's.  With ``phase_bits`` both angles are first rounded up to the b-bit
-    grid."""
+    """Phase pairs e^{i theta_k} (P, 2, 2^N), theta_k = chi +/- phi, with
+    beta (P, 2^N) = cos(phi) e^{i chi}: [p, k] is path p's, so row a of its
+    (2P, 2^N) reshape is ancilla index a's.  With ``phase_bits`` both angles
+    are first rounded up to the b-bit grid.
+
+    chi is in [-pi, pi] and phi in [0, pi/2], so |theta| < 2 pi, the domain
+    ``_quantize_angle`` wraps on.  The angles go into one float buffer and
+    are quantized there; the buffer becomes the imaginary part of one zeroed
+    complex buffer, exponentiated in place.  That holds 1j * theta bit for
+    bit, except for the sign of a zero real part, which exp ignores: the
+    imaginary part of 1j * theta is 0 + theta, which takes -0.0 to +0.0,
+    and a quantized angle is never -0.0."""
     mag = np.abs(beta)
     chi = np.where(mag > 0, np.angle(beta), 0.0)
-    phi = np.arccos(np.clip(mag, 0.0, 1.0))
-    theta = np.stack((chi + phi, chi - phi), axis=1).reshape(-1, beta.shape[1])
+    phi = np.arccos(np.clip(mag, 0.0, 1.0, out=mag), out=mag)
+    theta = np.empty((len(beta), 2, beta.shape[1]))
+    np.add(chi, phi, out=theta[:, 0])
+    np.subtract(chi, phi, out=theta[:, 1])
     if phase_bits is not None:
-        theta = _quantize_angle(theta, phase_bits)
-    return np.exp(1j * theta)
+        _quantize_angle(theta, phase_bits)
+    else:
+        theta += 0.0
+    pair = np.zeros(theta.shape, dtype=complex)
+    pair.imag = theta
+    return np.exp(pair, out=pair)
 
 
 class SegmentOperators:
@@ -336,19 +361,24 @@ class SegmentOperators:
     def phases(self) -> np.ndarray:
         """Phase rows e^{i theta_a(z)}, one per ancilla index, from the path
         coefficients at ``config.phase_bits``."""
-        return _phase_pair(self._beta(), self.config.phase_bits)
+        pair = _phase_pair(self._beta(), self.config.phase_bits)
+        return pair.reshape(2 * len(pair), -1)
 
     def flip_rows(self, phase_bits: int | None) -> _FlipRows:
         """V = (1/s) sum_p w_p b_p P_p at ``phase_bits`` from these path
         coefficients, no path evaluated again, one row per path.  With exact
         phases w_p b_p is the coefficient itself, so V's rows are the table
         over s; with b bits b_p is the mean of the path's rounded phase
-        pair."""
+        pair, (e^{i theta_+} + e^{i theta_-}) / 2.  That sum is the one new
+        (P, 2^N) array; it is scaled in place by 0.5 and then by w_p / s,
+        the same complex products as 0.5 * (sum) and (w_p / s) * mean."""
         if phase_bits is None:
             return _FlipRows(self._flips, self._coeffs / self.s)
         pair = _phase_pair(self._beta(), phase_bits)
-        mean = 0.5 * (pair[0::2] + pair[1::2])
-        return _FlipRows(self._flips, (self._weights / self.s)[:, None] * mean)
+        rows = pair[:, 0] + pair[:, 1]
+        rows *= 0.5
+        rows *= (self._weights / self.s)[:, None]
+        return _FlipRows(self._flips, rows)
 
     @cached_property
     def gather(self) -> np.ndarray:

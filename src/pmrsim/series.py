@@ -330,7 +330,8 @@ def _path_levels(h: PmrHamiltonian, plan: SegmentPlan, sources: np.ndarray, conf
     that order; their destinations z ^ mask (kept, sources); and their
     coefficients e^{-i dt [0, E_{z_1} - E_z, ...]} * prod_j d_{i_j}(z_j).
     A path whose hopping product is zero at every source is dropped, and so
-    are its extensions.
+    are its extensions; a level's arrays are copied down to the kept paths
+    only when it drops one.
 
     Only the divided differences depend on the method.  The taylor method
     carries one real profile h_0..h_{n_max} of the shifted energies
@@ -364,7 +365,8 @@ def _path_levels(h: PmrHamiltonian, plan: SegmentPlan, sources: np.ndarray, conf
         dest = flips[keep][:, None] ^ sources
         dprod = dprod[parent] * d_tab[child[:, None], dest]
         live = np.flatnonzero(np.any(dprod != 0, axis=1))
-        parent, keep, dest, dprod = parent[live], keep[live], dest[live], dprod[live]
+        if len(live) < len(keep):
+            parent, keep, dest, dprod = parent[live], keep[live], dest[live], dprod[live]
         if taylor:
             prof = np.take(prof, parent, axis=1)  # C-ordered, unlike prof[:, parent]
             _add_input(prof, y[dest])

@@ -91,6 +91,13 @@ def add_input_loop(h, y):
         h[n] += y * h[n - 1]
 
 
+def same_bits(a, b):
+    """Two arrays of one dtype and shape with the same bytes, so -0.0 and
+    +0.0 differ and equal NaNs match."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def random_pmr_hamiltonian(rng, n=4, m_terms=4, n_diag=3, coupling=1.0):
     """Random PMR Hamiltonian built from Pauli strings with |coefficients|
     below ``coupling`` and at most ``m_terms`` distinct flip patterns."""

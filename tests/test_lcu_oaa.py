@@ -1,10 +1,11 @@
 """Ancilla-register LCU emulation and oblivious amplitude amplification."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
-from conftest import random_pmr_hamiltonian, random_state
+from conftest import random_pmr_hamiltonian, random_state, same_bits
 
 from pmrsim import (
     DdConfig,
@@ -15,6 +16,7 @@ from pmrsim import (
     evolve,
     gamma_bounds,
     parse_hamiltonian,
+    parse_hamiltonian_file,
     path_coefficient,
     pauli_to_pmr,
     plan_segments,
@@ -542,6 +544,97 @@ def assert_same_rows(a, b):
     x = np.linspace(-1.0, 1.0, a.rows.shape[1]) + 0.5j
     assert np.array_equal(a.apply(x), b.apply(x))
     assert np.array_equal(a.apply_dagger(x), b.apply_dagger(x))
+
+
+def quantize_reference(theta, bits):
+    """The b-bit rounding written with ``np.mod``: ceil(mod(theta, 2 pi) /
+    step) * step on a new array."""
+    step = 2.0 * math.pi / (2.0 ** bits)
+    return np.ceil(np.mod(theta, 2.0 * math.pi) / step) * step
+
+
+def phase_rows_reference(beta, bits):
+    """The (2P, 2^N) phase rows e^{i theta} written with ``np.stack``,
+    ``quantize_reference`` and ``np.exp(1j * theta)``; row 2p + k is path
+    p's."""
+    mag = np.abs(beta)
+    chi = np.where(mag > 0, np.angle(beta), 0.0)
+    phi = np.arccos(np.clip(mag, 0.0, 1.0))
+    theta = np.stack((chi + phi, chi - phi), axis=1).reshape(-1, beta.shape[1])
+    if bits is not None:
+        theta = quantize_reference(theta, bits)
+    return np.exp(1j * theta)
+
+
+def sample4q_case():
+    """tests/data/sample4q.txt at t = 0.9, eps = 1e-3, as ``pmrsim lcu``
+    plans it."""
+    path = pathlib.Path(__file__).parent / "data" / "sample4q.txt"
+    h = pauli_to_pmr(parse_hamiltonian_file(path))
+    g = gamma_bounds(h)
+    return h, g, plan_segments(h, g, 0.9, 1e-3)
+
+
+class TestQuantizedPhases:
+    """The phase rows and quantized V, bit for bit against the formulas
+    written with ``np.mod``, ``np.stack`` and ``1j * theta``."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 8, 16, 52, 64, 1023])
+    def test_quantize_matches_np_mod(self, bits):
+        step = 2.0 * math.pi / (2.0 ** bits)
+        edges = np.array([
+            0.0, -0.0, math.pi, -math.pi, 1.5 * math.pi, -1.5 * math.pi,
+            -5e-324, -step / 2, np.nextafter(2.0 * math.pi, 0.0),
+        ])
+        spread = np.random.default_rng(131).uniform(-1.5 * math.pi, 1.5 * math.pi, 4096)
+        for theta in (edges, spread):
+            out = theta.copy()
+            assert lcu._quantize_angle(out, bits) is out
+            assert same_bits(out, quantize_reference(theta, bits))
+
+    def test_angles_stay_inside_the_wrap_domain(self, monkeypatch):
+        # chi = -pi and +pi at |beta| = 1 and near 0 put theta at its
+        # extremes; |beta| = 0 and |beta| > 1 with chi = -0.0 pin the zeros
+        beta = np.array([[
+            complex(-1.0, -0.0), complex(-1.0, 0.0), complex(-1e-300, -0.0),
+            complex(-1e-300, 0.0), 0j, complex(-0.0, -0.0), complex(2.0, -0.0),
+            1.0, 1j, -1j,
+        ]])
+        assert np.angle(beta[0, :4]).tolist() == [-math.pi, math.pi] * 2
+        seen, quantize = [], lcu._quantize_angle
+
+        def spy(theta, bits):
+            seen.extend((theta.min(), theta.max()))
+            return quantize(theta, bits)
+
+        monkeypatch.setattr(lcu, "_quantize_angle", spy)
+        for bits in (None, 1, 8, 16):
+            pair = lcu._phase_pair(beta, bits)
+            assert same_bits(pair.reshape(2, -1), phase_rows_reference(beta, bits))
+        assert len(seen) == 6
+        assert -2.0 * math.pi < min(seen) and max(seen) < 2.0 * math.pi
+
+    @pytest.mark.parametrize("bits", [1, 8, 16])
+    def test_flip_rows_match_reference(self, bits, monkeypatch):
+        # V's rows (w_p / s) * (e^{i theta_+} + e^{i theta_-}) / 2 and the
+        # composite's phase rows, at b bits and exact
+        built, flip_rows = [], lcu._FlipRows
+
+        def kept(flips, rows):
+            built.append(rows)
+            return flip_rows(flips, rows)
+
+        monkeypatch.setattr(lcu, "_FlipRows", kept)
+        cases = [(h, g, plan) for _, h, g, plan in segment_cases()] + [sample4q_case()]
+        for h, g, plan in cases:
+            ops = SegmentOperators(h, g, plan, LcuConfig(phase_bits=bits))
+            pair = phase_rows_reference(ops._beta(), bits)
+            mean = 0.5 * (pair[0::2] + pair[1::2])
+            assert same_bits(built.pop(), (ops._weights / ops.s)[:, None] * mean)
+            assert same_bits(ops.phases, pair)
+            exact = SegmentOperators(h, g, plan)
+            built.clear()  # exact V, the table over s
+            assert same_bits(exact.phases, phase_rows_reference(exact._beta(), None))
 
 
 class TestSystemSegment:

@@ -2,12 +2,19 @@
 
 import itertools
 import math
+import pathlib
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from conftest import add_input_loop, exact_dd_exp, random_pmr_hamiltonian, random_state
+from conftest import (
+    add_input_loop,
+    exact_dd_exp,
+    random_pmr_hamiltonian,
+    random_state,
+    same_bits,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +32,7 @@ from pmrsim import (
     evolve,
     gamma_bounds,
     parse_hamiltonian,
+    parse_hamiltonian_file,
     path_coefficient,
     pauli_to_pmr,
     plan_segments,
@@ -33,12 +41,13 @@ from pmrsim import (
 )
 from pmrsim import divdiff, series
 from pmrsim.lcu import evolve_lcu
-from pmrsim.models import build_named_model
+from pmrsim.models import build_named_model, build_schwinger
 from pmrsim.pmr import DiagonalOperator, PermutationOperator, PmrHamiltonian, hopping_strength
 from pmrsim.series import DEFAULT_WORK_BUDGET, LN2
 
 LADDER = pauli_to_pmr(parse_hamiltonian("1.0 Z\n1.0 X\n"))
 LADDER_G = gamma_bounds(LADDER)
+SAMPLE = pathlib.Path(__file__).parent / "data" / "sample4q.txt"
 
 
 def tail_oracle(order, x=LN2, terms=300):
@@ -945,8 +954,80 @@ def path_level_cases():
     yield random_pmr_hamiltonian(rng, n=4, m_terms=3), np.array([1, 6, 7, 12]), -1.7
 
 
+def path_levels_reference(h, plan, sources, config):
+    """``series._path_levels`` with its live filter applied at every level,
+    whether or not the level drops a path."""
+    energies = h.diagonal_values()
+    d_tab = np.array([h.term_values(i) for i in range(h.m)])
+    masks = h.x_masks()
+    e_src = energies[sources]
+    taylor = config.method == "taylor"
+    if taylor:
+        c, y, pref = series._taylor_table(energies, plan.delta_t, plan.Q)
+        parts = np.stack((pref.real, pref.imag), axis=1)
+        shift = np.exp(-1j * plan.delta_t * (c - e_src))
+        prof = np.zeros((pref.shape[1], 1, len(sources)))
+        prof[0] = 1.0
+        divdiff._add_input(prof, y[sources])
+    else:
+        seq = np.zeros((1, len(sources), 1))
+    flips = keep = np.zeros(1, dtype=np.int64)
+    dprod = np.ones((1, len(sources)), dtype=complex)
+    for q in range(1, plan.Q + 1):
+        parent, child = np.divmod(np.arange(len(keep) * h.m), h.m)
+        flips = np.bitwise_xor.outer(flips, masks).reshape(-1)
+        keep = keep[parent] * h.m + child
+        dest = flips[keep][:, None] ^ sources
+        dprod = dprod[parent] * d_tab[child[:, None], dest]
+        live = np.flatnonzero(np.any(dprod != 0, axis=1))
+        parent, keep, dest, dprod = parent[live], keep[live], dest[live], dprod[live]
+        if taylor:
+            prof = np.take(prof, parent, axis=1)
+            divdiff._add_input(prof, y[dest])
+            dd = np.empty(dest.shape, dtype=complex)
+            dd.real, dd.imag = (parts[q] @ prof.reshape(len(prof), -1)).reshape(2, *dest.shape)
+            dd *= shift
+        else:
+            seq = np.concatenate((seq[parent], (energies[dest] - e_src)[..., None]), axis=2)
+            dd = series.dd_exp(seq.reshape(-1, q + 1), plan.delta_t, config).reshape(dest.shape)
+        dd *= dprod
+        yield flips, keep, dest, dd
+
+
 class TestPathLevels:
     """The path enumerator shared by the enumerated segment and ``lcu``."""
+
+    @pytest.mark.parametrize("method", ["taylor", "leibniz"])
+    def test_live_filter_matches_reference(self, method):
+        # 4-qubit Schwinger's hoppings w(1 - Z_i Z_{i+1}) vanish on half the
+        # states, so its levels from q = 3 on drop paths; sample4q drops none
+        cfg = DdConfig(method)
+        sample = pauli_to_pmr(parse_hamiltonian_file(SAMPLE))
+        schwinger, _ = build_schwinger(4, mass=0.3, coupling=1.2, spacing=0.7)
+        for h, drops in ((schwinger, True), (sample, False)):
+            plan = plan_segments(h, gamma_bounds(h), 0.9, 1e-3)
+            sources = np.arange(1 << h.n_qubits)
+            levels = list(series._path_levels(h, plan, sources, cfg))
+            ref = list(path_levels_reference(h, plan, sources, cfg))
+            assert len(levels) == len(ref) == plan.Q
+            for level, level_ref in zip(levels, ref):
+                assert all(same_bits(a, b) for a, b in zip(level, level_ref))
+            kept = [len(keep) for _, keep, _, _ in levels]
+            assert (kept != [h.m ** q for q in range(1, plan.Q + 1)]) == drops
+            # the table holds the reference's rows; a dropped path keeps a
+            # zero row, and only kept paths extend
+            _, table = series._path_table(h, plan, cfg)
+            ref_table = np.zeros_like(table)
+            ref_table[0] = 1.0
+            lo, parents = 1, np.zeros(1, dtype=np.int64)
+            for cum, keep, _, coeff in ref:
+                ref_table[lo + keep] = coeff
+                dropped = np.setdiff1d(np.arange(len(cum)), keep)
+                assert len(dropped) == len(cum) - len(keep)
+                assert not np.any(table[lo + dropped])
+                assert np.all(np.isin(keep // h.m, parents))
+                lo, parents = lo + len(cum), keep
+            assert same_bits(table, ref_table)
 
     @staticmethod
     def levels(h, sources, t, cfg, depth=4):
