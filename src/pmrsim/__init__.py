@@ -31,7 +31,6 @@ from .pmr import (
     PauliString,
     PermutationOperator,
     PmrHamiltonian,
-    alternative_representation,
     dense_matrix,
     diagonal_energy,
     format_hamiltonian,
@@ -43,7 +42,6 @@ from .pmr import (
     pmr_to_pauli_strings,
 )
 from .series import (
-    Path,
     PathCoefficient,
     SegmentPlan,
     WorkBudgetExceededError,

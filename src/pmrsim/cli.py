@@ -137,7 +137,8 @@ def cmd_evolve(args) -> int:
     print(f"elapsed_s={elapsed:.3f}", file=sys.stderr)
     if args.check and error is None:
         print(_CHECK_SKIPPED.format(n=h.n_qubits), file=sys.stderr)
-    if args.check and error is not None and error > args.epsilon:
+    # a NaN error fails too
+    if args.check and error is not None and not error <= args.epsilon:
         print(f"check failed: error {error:.3e} > epsilon", file=sys.stderr)
         return 4
     return 0
@@ -186,7 +187,7 @@ def cmd_lcu(args) -> int:
     print(f"elapsed_s={elapsed:.3f}", file=sys.stderr)
     if args.check and error is None:
         print(_CHECK_SKIPPED.format(n=h.n_qubits), file=sys.stderr)
-    if args.check and error is not None and error > 10 * args.epsilon:
+    if args.check and error is not None and not error <= 10 * args.epsilon:
         print(f"check failed: error {error:.3e} > 10 epsilon", file=sys.stderr)
         return 4
     return 0

@@ -34,7 +34,9 @@ shares with ``series`` (``series._path_table``: every path of up to Q
 flips over all M terms; a path zero at every source is not evaluated) and
 the path weights, and ``flip_rows`` builds V at any precision from them.
 beta = coefficient / w_p and its phase pair are formed only for quantized
-phases and for the composite reference, whose psi0 is built on first use.
+phases and for the composite reference.  That reference's psi0 is built on
+first use from the same weights as V, and its phase pairs by the same
+``_phase_pair`` split cos(phi) e^{i chi} = (e^{i(chi+phi)} + e^{i(chi-phi)}) / 2.
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ __all__ = [
     "CompositeState",
     "LcuConfig",
     "SegmentDiagnostics",
-    "prepare_psi0",
-    "psi0_unary_cascade",
     "apply_B",
     "apply_U_C",
     "apply_reflection",
@@ -201,51 +201,6 @@ def lcu_weights(
     return scale * np.asarray(g.gamma, dtype=float), float(config.s_override)
 
 
-def psi0_unary_cascade(
-    g: GammaBounds, plan: SegmentPlan, config: LcuConfig | None = None
-) -> np.ndarray:
-    """First preparation step: the Q+1 amplitudes of the normalized
-    unary-occupation ladder sum_q sqrt((Gamma dt)^q / q!) |1^q 0^(Q-q)>,
-    indexed by q."""
-    gam, _ = lcu_weights(g, plan, config)
-    vec = np.empty(plan.Q + 1)
-    rate = float(np.sum(gam)) * abs(plan.delta_t)
-    amp = 1.0
-    for q in range(plan.Q + 1):
-        if q > 0:
-            amp *= rate / q  # (Gamma dt)^q / q!
-        vec[q] = math.sqrt(amp)
-    return vec / _norm(vec)
-
-
-def prepare_psi0(
-    g: GammaBounds, plan: SegmentPlan, config: LcuConfig | None = None
-) -> np.ndarray:
-    """LCU weight state over the ancilla registers.
-
-    Built by the two-step cascade: the unary ladder fixes the path-length
-    sector masses (Gamma dt)^q / q!, each occupied register then fans out
-    to sqrt(gamma_i / Gamma), and the k qubit gets a Hadamard.  The result
-    carries amplitude sqrt(gamma_path |dt|^q / q!) / sqrt(2 s) on every
-    path.  The fan-out of all paths of length q is one outer product per
-    level, and the levels concatenate in ``AncillaLayout.paths()`` order.
-    """
-    gam, _ = lcu_weights(g, plan, config)
-    m = len(g.gamma)
-    ladder = psi0_unary_cascade(g, plan, config)
-    total = float(np.sum(gam))
-    frac = np.sqrt(gam / total) if total > 0 else np.zeros(m)
-    amps, fan = [ladder[:1]], np.ones(1)
-    for q in range(1, plan.Q + 1):
-        fan = np.outer(fan, frac).reshape(-1)
-        amps.append(ladder[q] * fan)
-    vec = np.repeat(np.concatenate(amps), 2) / math.sqrt(2.0)
-    norm = _norm(vec)
-    if norm == 0.0:
-        raise ValueError("degenerate weight state (all bounds zero)")
-    return vec / norm
-
-
 def apply_B(state: CompositeState, psi0: np.ndarray) -> CompositeState:
     """Unitary completion of |0...0> -> psi0 on the ancilla factor.
 
@@ -337,7 +292,6 @@ class SegmentOperators:
         config: LcuConfig | None = None,
     ):
         self.h = h
-        self._g = g
         self.plan = plan
         self.config = config or LcuConfig()
         self.layout = AncillaLayout(plan.Q, h.m)
@@ -349,8 +303,10 @@ class SegmentOperators:
 
     @cached_property
     def psi0(self) -> np.ndarray:
-        """The weight state B|0>, ``prepare_psi0``'s."""
-        return prepare_psi0(self._g, self.plan, self.config)
+        """The weight state B|0>: sqrt(w_p / 2s) on both k of path p, from
+        the weights w_p that V's rows carry, divided by its norm."""
+        vec = np.sqrt(np.repeat(self._weights, 2) / (2.0 * self.s))
+        return vec / _norm(vec)
 
     def _beta(self) -> np.ndarray:
         """beta (P, 2^N) = coefficient / w_p, 0 where w_p = 0."""
@@ -572,7 +528,7 @@ def _evolve_lcu_runs(
     has passed its budgets."""
     state = np.asarray(state, dtype=complex)
     if plan.diagonal_only:
-        out = apply_diagonal(h, state, plan.t_total)
+        out = _require_finite(apply_diagonal(h, state, plan.t_total))
         return out, [], out if exact_too else None, None
     _price(AncillaLayout(plan.Q, h.m).anc_dim << h.n_qubits, composite_budget,
            f"2 * sum_{{q<={plan.Q}}} {h.m}^q * 2^{h.n_qubits}",

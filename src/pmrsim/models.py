@@ -161,6 +161,18 @@ def _chain_bonds(n_sites: int) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n_sites) for i in range(n_sites)]
 
 
+def _jw_hops(strings: list[PauliString], coeff: float, i: int, j: int, n_sites: int) -> None:
+    """Append the Jordan-Wigner hop between sites i < j of each spin sector
+    (spin up on qubits 0..n_sites-1, spin down after): coeff times X_i Z..Z X_j,
+    then the same with Y, the Z string on the sites strictly between."""
+    n_q = 2 * n_sites
+    for off in (0, n_sites):
+        mid = sum(1 << (off + k) for k in range(i + 1, j))
+        ends = (1 << (off + i)) | (1 << (off + j))
+        strings.append(PauliString(coeff, mid, ends, 0, n_q))
+        strings.append(PauliString(coeff, mid, 0, ends, n_q))
+
+
 def build_fermi_hubbard(
     n_sites: int,
     d: int = 1,
@@ -194,14 +206,7 @@ def build_fermi_hubbard(
         for mask in (0, up, dn, up | dn):
             strings.append(PauliString(u / 4.0, mask, 0, 0, n_q))
     for i, j in bonds:
-        for sigma in (0, 1):
-            off = sigma * n_sites
-            mid = 0
-            for k in range(i + 1, j):
-                mid |= 1 << (off + k)
-            ends = (1 << (off + i)) | (1 << (off + j))
-            strings.append(PauliString(t_h / 2.0, mid, ends, 0, n_q))
-            strings.append(PauliString(t_h / 2.0, mid, 0, ends, n_q))
+        _jw_hops(strings, t_h / 2.0, i, j, n_sites)
     h = pauli_to_pmr(strings)
     T = abs(t) * n_sites * d * t_h
     record = ComparisonRecord(
@@ -383,16 +388,8 @@ def build_electronic_structure(
     for p in range(n):
         for q in range(p + 1, n):
             w = float(c[p, q]) / (4.0 * n)
-            if w == 0.0:
-                continue
-            for sigma in (0, 1):
-                off = sigma * n
-                mid = 0
-                for m in range(p + 1, q):
-                    mid |= 1 << (off + m)
-                ends = (1 << (off + p)) | (1 << (off + q))
-                strings.append(PauliString(w, mid, ends, 0, n_q))
-                strings.append(PauliString(w, mid, 0, ends, n_q))
+            if w != 0.0:
+                _jw_hops(strings, w, p, q, n)
     h = pauli_to_pmr(strings)
     times = electronic_structure_times(data, t)
     record = ComparisonRecord(

@@ -27,14 +27,12 @@ __all__ = [
     "PermutationOperator",
     "PmrHamiltonian",
     "GammaBounds",
-    "PhasedPermutationHamiltonian",
     "pauli_to_pmr",
     "pmr_to_pauli_strings",
     "diagonal_energy",
     "hopping_strength",
     "gamma_bounds",
     "dense_matrix",
-    "alternative_representation",
     "hermiticity_defect",
     "parse_hamiltonian",
     "parse_hamiltonian_file",
@@ -240,6 +238,9 @@ class PmrHamiltonian:
             raise ValueError("flip masks must be pairwise distinct")
         for _, p in terms:
             _check_mask(p.x_mask, n_qubits, "x_mask")
+        for d in (d0, *(d for d, _ in terms)):
+            if d.n_qubits != n_qubits:
+                raise ValueError(f"diagonal on {d.n_qubits} qubits, Hamiltonian on {n_qubits}")
         if not d0.is_real():
             raise ValueError("diagonal part must have real coefficients")
         object.__setattr__(self, "d0", d0)
@@ -448,57 +449,6 @@ def hermiticity_defect(h: PmrHamiltonian) -> float:
         vals = d.values()
         defect = max(defect, float(np.max(np.abs(vals[cols ^ p.x_mask] - vals.conj()))))
     return defect
-
-
-@dataclass(frozen=True)
-class PhasedPermutationHamiltonian:
-    """H = D0 + sum_i (w_i/2) (Theta_i1 + Theta_i2) P_i with pure-phase diagonals.
-
-    ``terms`` holds (weight, phases1, phases2, x_mask) with |phases| = 1
-    entrywise; 2M unitary generalized permutations overall.
-    """
-
-    d0: DiagonalOperator
-    terms: tuple[tuple[float, np.ndarray, np.ndarray, int], ...]
-    n_qubits: int
-
-    def dense_matrix(self) -> np.ndarray:
-        if self.n_qubits > DENSE_THRESHOLD:
-            raise ValueError(f"dense matrix limited to N <= {DENSE_THRESHOLD}")
-        dim = 1 << self.n_qubits
-        mat = np.diag(self.d0.values())
-        cols = np.arange(dim)
-        for weight, ph1, ph2, mask in self.terms:
-            rows = cols ^ mask
-            mat[rows, cols] += 0.5 * weight * (ph1[rows] + ph2[rows])
-        return mat
-
-
-def alternative_representation(
-    h: PmrHamiltonian, g: GammaBounds
-) -> PhasedPermutationHamiltonian:
-    """Rewrite each D_i as gamma_i/2 times a pair of pure-phase diagonals.
-
-    Each diagonal entry d_i(z)/gamma_i = cos(theta) e^{i chi} splits into the
-    two unit phases e^{i(chi +/- theta)}; the dense matrix is unchanged.
-    """
-    terms = []
-    for i, (d, p) in enumerate(h.terms):
-        gi = g.gamma[i]
-        if gi <= 0:
-            raise ValueError(f"term {i}: bound must be positive")
-        w = d.values() / gi
-        mags = np.abs(w)
-        if np.any(mags > 1 + 1e-12):
-            raise ValueError(
-                f"term {i}: |d_i(z)|/gamma_i = {mags.max():.6g} exceeds 1; invalid bound"
-            )
-        chi = np.angle(w)
-        theta = np.arccos(np.clip(mags, 0.0, 1.0))
-        terms.append(
-            (gi, np.exp(1j * (chi + theta)), np.exp(1j * (chi - theta)), p.x_mask)
-        )
-    return PhasedPermutationHamiltonian(h.d0, tuple(terms), h.n_qubits)
 
 
 def parse_hamiltonian(text: str, n_qubits: int | None = None) -> list[PauliString]:

@@ -64,7 +64,6 @@ from .pmr import DENSE_THRESHOLD, GammaBounds, PmrHamiltonian, diagonal_energy, 
 __all__ = [
     "LN2",
     "SegmentPlan",
-    "Path",
     "PathCoefficient",
     "WorkBudgetExceededError",
     "series_tail",
@@ -188,6 +187,10 @@ def plan_segments(
     if len(g.gamma) != h.m:
         raise ValueError(f"got {len(g.gamma)} bounds for M={h.m} terms")
     T = abs(t) * g.gamma_total
+    if not math.isfinite(T):
+        raise ValueError(
+            f"T = |t| * gamma_total = {T} is not finite (the bounds overflow float64)"
+        )
     if t == 0.0 or h.m == 0 or g.gamma_total == 0.0:
         return SegmentPlan(
             t_total=t, epsilon=epsilon, gamma_total=g.gamma_total, T=T,
@@ -208,17 +211,6 @@ def plan_segments(
 
 
 @dataclass(frozen=True)
-class Path:
-    """Flip-term index sequence (0-based) applied left to right."""
-
-    indices: tuple[int, ...]
-
-    @property
-    def q(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class PathCoefficient:
     """alpha includes the segment's diagonal phase e^{-i dt E_z}; the
     pipeline deposits beta * gamma_path * |dt|^q / q! and leaves that phase
@@ -235,31 +227,32 @@ def path_coefficient(
     g: GammaBounds,
     plan: SegmentPlan,
     z: int,
-    path: Path,
+    path: tuple[int, ...],
     config: DdConfig | None = None,
 ) -> PathCoefficient:
-    """Coefficient of one flip path starting from basis state z; refuses a
-    path longer than Q, a source outside [0, 2^N) or a term outside [0, M)."""
-    q = path.q
+    """Coefficient of one flip path, its 0-based term indices applied left
+    to right, starting from basis state z; refuses a path longer than Q, a
+    source outside [0, 2^N) or a term outside [0, M)."""
+    q = len(path)
     if q > plan.Q:
         raise ValueError(f"path length {q} exceeds plan order Q={plan.Q}")
     if not 0 <= z < 1 << h.n_qubits:
         raise ValueError(f"basis index {z} out of range")
-    for i in path.indices:
+    for i in path:
         if not 0 <= i < h.m:
             raise IndexError(f"term index {i} out of range for M={h.m}")
     e_z = diagonal_energy(h, z)
     states, cur = [], z  # the basis states visited after each flip
-    for i in path.indices:
+    for i in path:
         cur ^= h.terms[i][1].x_mask
         states.append(cur)
     inputs = [0.0] + [diagonal_energy(h, s) - e_z for s in states]
     dd = dd_exp(inputs, plan.delta_t, config)
     dprod = 1.0 + 0.0j
-    for i, s in zip(path.indices, states):
+    for i, s in zip(path, states):
         dprod *= hopping_strength(h, i, s)
     working = plan.working_gamma(g)
-    gam_path = float(np.prod(working[list(path.indices)])) if q else 1.0
+    gam_path = float(np.prod(working[list(path)])) if q else 1.0
     weight = gam_path * abs(plan.delta_t) ** q / math.factorial(q)
     if weight == 0.0:
         if abs(dprod) > 0.0:
@@ -667,7 +660,7 @@ def evolve(
     state = np.asarray(state, dtype=complex)
     plan = plan_segments(h, g, t, epsilon, q_override=q_override)
     if plan.diagonal_only:
-        return apply_diagonal(h, state, t)
+        return _require_finite(apply_diagonal(h, state, t))
     if state.shape != (1 << h.n_qubits,):
         raise ValueError("state length must be 2^N")
     op = _uod_operator(h, plan, config or DdConfig(), state != 0, plan.r, work_budget)

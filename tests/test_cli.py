@@ -140,6 +140,37 @@ class TestEvolveCommand:
             err = capsys.readouterr().err
             assert err.startswith("numerical failure:") and err.count("\n") == 1
 
+    def test_overflowed_energy_exit_4(self, tmp_path, capsys):
+        # E(0) = 2e308 overflows to inf in a diagonal-only run, whose result
+        # is then not finite
+        path = tmp_path / "d.txt"
+        path.write_text("1e308 ZI\n1e308 IZ\n")
+        for command in ("evolve", "lcu"):
+            assert main([command, "--hamiltonian", str(path), "--check"]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["evolve", "lcu"])
+    def test_check_fails_on_nan_error(self, tmp_path, capsys, monkeypatch, command):
+        # NaN > tolerance is False: --check must still fail on a NaN error
+        def evolve_nan(*args, **kwargs):
+            out = series.evolve(*args, **kwargs)
+            out[0] = np.nan
+            return out
+
+        def lcu_runs_nan(*args, **kwargs):
+            out, *rest = lcu._evolve_lcu_runs(*args, **kwargs)
+            out[0] = np.nan
+            return (out, *rest)
+
+        monkeypatch.setattr(cli, "evolve", evolve_nan)
+        monkeypatch.setattr(cli, "_evolve_lcu_runs", lcu_runs_nan)
+        out = tmp_path / "run.csv"
+        assert main([command, "--hamiltonian", SAMPLE, "--t", "0.5", "--epsilon", "1e-3",
+                     "--check", "--output", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines()[-1].startswith("check failed: error nan > ")
+        assert read_csv(out)[-1]["error_2norm"] == "nan"
+
     def test_check_skipped_past_dense_oracle(self, tmp_path, capsys):
         check_skipped_past_dense_oracle(tmp_path, capsys, "evolve")
 
@@ -360,7 +391,7 @@ class TestLcuCommand:
             raise AssertionError("the run path built the weight state")
 
         with monkeypatch.context() as m:
-            m.setattr(lcu, "prepare_psi0", refuse)
+            m.setattr(lcu.SegmentOperators, "psi0", property(refuse))
             for config in (lcu.LcuConfig(), lcu.LcuConfig(phase_bits=8)):
                 _, diags = lcu.evolve_lcu(h, g, psi, 0.9, 1e-3, config)
                 assert diags
@@ -368,7 +399,9 @@ class TestLcuCommand:
                 assert main(argv + extra) == 0
             plan = plan_segments(h, g, 0.9, 1e-3)
             ops = lcu.SegmentOperators(h, g, plan)
-        assert np.array_equal(ops.psi0, lcu.prepare_psi0(g, plan, ops.config))
+        assert "psi0" not in vars(ops)
+        assert ops.psi0.shape == (ops.layout.anc_dim,)
+        assert np.linalg.norm(ops.psi0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("method", ["taylor", "pyramid", "leibniz"])
     def test_agrees_with_series_run(self, tmp_path, method):
@@ -486,6 +519,16 @@ class TestLcuCommand:
         assert main(argv + ["--output", str(a)]) == 0
         assert main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["evolve", "lcu", "resources"])
+def test_overflowed_bound_exit_2(tmp_path, capsys, command):
+    # gamma = 1e308 + 1e308 overflows to inf, and so does T = |t| * gamma
+    path = tmp_path / "o.txt"
+    path.write_text("1e308 XI\n1e308 XZ\n")
+    assert main([command, "--hamiltonian", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("input error: T = |t| * gamma_total = inf is not finite")
 
 
 class TestDivdiffCommand:

@@ -10,7 +10,6 @@ from conftest import random_pmr_hamiltonian, random_state, same_bits
 from pmrsim import (
     DdConfig,
     DenseOracle,
-    Path,
     PauliString,
     PmrHamiltonian,
     evolve,
@@ -35,8 +34,6 @@ from pmrsim.lcu import (
     evolve_lcu,
     lcu_weights,
     oaa_segment,
-    prepare_psi0,
-    psi0_unary_cascade,
     system_segment,
 )
 from pmrsim.series import LN2, WorkBudgetExceededError
@@ -101,7 +98,7 @@ class TestAncillaLayout:
 class TestPreparePsi0:
     def test_single_term_single_register(self):
         plan = plan_segments(LADDER, LADDER_G, LN2, 1e-3, q_override=1)
-        psi0 = prepare_psi0(LADDER_G, plan)
+        psi0 = SegmentOperators(LADDER, LADDER_G, plan).psi0
         # amplitudes prop. to (1, sqrt(ln 2)) on the path register times
         # (1,1)/sqrt(2) on k; normalization s = 1 + ln 2 from the two-term
         # partial sum
@@ -123,15 +120,6 @@ class TestPreparePsi0:
             )
             expected = rate ** q / math.factorial(q) / ops.s
             assert mass == pytest.approx(expected, rel=1e-12)
-
-    def test_unary_cascade_stage(self):
-        _, h, g, plan, ops = small_setup()
-        unary = psi0_unary_cascade(g, plan)
-        weights = [LN2 ** q / math.factorial(q) for q in range(plan.Q + 1)]
-        expected = np.sqrt(np.array(weights) / sum(weights))
-        assert unary.shape == (plan.Q + 1,)
-        assert np.allclose(unary, expected)
-        assert np.linalg.norm(unary) == pytest.approx(1.0)
 
 
 class TestApplyB:
@@ -183,7 +171,7 @@ class TestComputePhaseAngles:
 
     def test_unit_beta(self):
         _, h, g, plan, _ = small_setup()
-        pc = path_coefficient(h, g, plan, 0, Path(()))
+        pc = path_coefficient(h, g, plan, 0, ())
         assert pc.chi == pytest.approx(0.0, abs=1e-14)
         assert pc.phi == pytest.approx(0.0, abs=1e-14)
 
@@ -197,7 +185,7 @@ class TestComputePhaseAngles:
         g = gamma_bounds(h)
         plan = plan_segments(h, g, 0.8, 1e-4)
         zeros = [z for z in range(4) if abs(h.terms[0][0].value(z ^ 1)) < 1e-14]
-        pc = path_coefficient(h, g, plan, zeros[0], Path((0,)))
+        pc = path_coefficient(h, g, plan, zeros[0], (0,))
         assert pc.chi == pytest.approx(0.0, abs=1e-14)
         assert pc.phi == pytest.approx(math.pi / 2)
         # the table's phase pair e^{i(chi +/- phi)} is then (i, -i)
@@ -208,10 +196,10 @@ class TestComputePhaseAngles:
         _, h, g, plan, _ = small_setup()
         for z in (-1, 1 << h.n_qubits):
             with pytest.raises(ValueError, match="basis index"):
-                path_coefficient(h, g, plan, z, Path((0,)))
+                path_coefficient(h, g, plan, z, (0,))
         for i in (-1, h.m):
             with pytest.raises(IndexError, match="term index"):
-                path_coefficient(h, g, plan, 0, Path((0, i)))
+                path_coefficient(h, g, plan, 0, (0, i))
 
     def test_round_trip_exact_and_quantized(self):
         rng, h, g, plan, ops = small_setup(seed=7)
@@ -219,7 +207,7 @@ class TestComputePhaseAngles:
                      for bits in (8, 12)}
         for z in range(4):
             for path in [(0,), (1, 0), (0, 1, 1)]:
-                pc = path_coefficient(h, g, plan, z, Path(path))
+                pc = path_coefficient(h, g, plan, z, path)
                 assert abs(math.cos(pc.phi) * np.exp(1j * pc.chi) - pc.beta) < 1e-12
                 for bits, q_ops in quantized.items():
                     recon = table_beta(q_ops, path, z)
@@ -229,7 +217,7 @@ class TestComputePhaseAngles:
         _, h, g, plan, _ = small_setup(seed=13)
         q_ops = SegmentOperators(h, g, plan, LcuConfig(phase_bits=64))
         for z in range(4):
-            pc = path_coefficient(h, g, plan, z, Path((0, 1)))
+            pc = path_coefficient(h, g, plan, z, (0, 1))
             beta = math.cos(pc.phi) * np.exp(1j * pc.chi)
             beta_q = table_beta(q_ops, (0, 1), z)
             assert abs(beta - beta_q) < 1e-9
@@ -261,7 +249,7 @@ class TestApplyUC:
             sign = 1.0 if k == 0 else -1.0
             phases = []
             for z in range(4):
-                pc = path_coefficient(h, g, plan, z, Path((0,)))
+                pc = path_coefficient(h, g, plan, z, (0,))
                 phases.append(np.exp(1j * (pc.chi + sign * pc.phi)))
             expected = perm @ np.diag(phases)
             got = np.zeros((4, 4), complex)
@@ -324,7 +312,7 @@ class TestVectorizedTables:
                     cum, ph0, ph1 = ops.tables(path)
                     assert cum == int(np.bitwise_xor.reduce(masks[list(path)], initial=0))
                     betas = [
-                        path_coefficient(h, g, plan, z, Path(path), dd).beta
+                        path_coefficient(h, g, plan, z, path, dd).beta
                         for z in range(1 << h.n_qubits)
                     ]
                     # e^{i(chi + phi)} + e^{i(chi - phi)} = 2 cos(phi) e^{i chi}
@@ -377,7 +365,7 @@ class TestVectorizedTables:
                     weight = np.prod(gam[list(path)]) * abs(plan.delta_t) ** q / math.factorial(q)
                     for k in (0, 1):
                         expected[layout.index(path, k)] = math.sqrt(weight / (2 * s))
-                got = prepare_psi0(g, plan, config)
+                got = SegmentOperators(h, g, plan, config).psi0
                 assert np.max(np.abs(got - expected)) <= 1e-12
                 assert np.all(got[expected == 0] == 0)
 

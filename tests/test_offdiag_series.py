@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from pmrsim import (
     DdConfig,
     DenseOracle,
-    Path,
     PauliString,
     SeriesConvergenceError,
     WorkBudgetExceededError,
@@ -136,7 +135,7 @@ class TestPathCoefficient:
 
     def test_empty_path(self):
         for z in range(8):
-            pc = path_coefficient(self.h, self.g, self.plan, z, Path(()))
+            pc = path_coefficient(self.h, self.g, self.plan, z, ())
             e_z = diagonal_energy(self.h, z)
             assert pc.alpha == pytest.approx(np.exp(-1j * self.plan.delta_t * e_z))
             assert pc.beta == pytest.approx(1.0)
@@ -154,7 +153,7 @@ class TestPathCoefficient:
         plan = plan_segments(h, g, 0.8, 1e-6)
         zeros = [z for z in range(4) if abs(h.terms[0][0].value(z ^ 1)) < 1e-14]
         assert zeros
-        pc = path_coefficient(h, g, plan, zeros[0], Path((0,)))
+        pc = path_coefficient(h, g, plan, zeros[0], (0,))
         assert pc.alpha == 0 and pc.beta == 0
         assert pc.phi == pytest.approx(math.pi / 2) and pc.chi == 0.0
 
@@ -162,7 +161,7 @@ class TestPathCoefficient:
         for z in range(8):
             for q in range(1, 5):
                 for idx in itertools.product(range(self.h.m), repeat=q):
-                    pc = path_coefficient(self.h, self.g, self.plan, z, Path(idx))
+                    pc = path_coefficient(self.h, self.g, self.plan, z, idx)
                     assert abs(pc.beta) <= 1 + 1e-12
                     recon = math.cos(pc.phi) * np.exp(1j * pc.chi)
                     assert abs(recon - pc.beta) < 1e-12
@@ -170,7 +169,7 @@ class TestPathCoefficient:
     def test_too_long_path_rejected(self):
         plan = plan_segments(self.h, self.g, 1.1, 1e-6, q_override=1)
         with pytest.raises(ValueError):
-            path_coefficient(self.h, self.g, plan, 0, Path((0, 0)))
+            path_coefficient(self.h, self.g, plan, 0, (0, 0))
 
 
 class TestApplyDiagonal:
@@ -273,7 +272,7 @@ class TestSegmentMatrix:
         for z in range(4):
             for q in range(plan.Q + 1):
                 for idx in itertools.product(range(h.m), repeat=q):
-                    pc = path_coefficient(h, g, plan, z, Path(idx))
+                    pc = path_coefficient(h, g, plan, z, idx)
                     dest = z
                     for i in idx:
                         dest ^= h.terms[i][1].x_mask

@@ -10,7 +10,6 @@ from pmrsim import (
     PauliString,
     PermutationOperator,
     PmrHamiltonian,
-    alternative_representation,
     dense_matrix,
     diagonal_energy,
     format_hamiltonian,
@@ -20,6 +19,7 @@ from pmrsim import (
     pauli_to_pmr,
     pmr_to_pauli_strings,
 )
+from pmrsim.lcu import _phase_pair
 from pmrsim.models import MODEL_NAMES, build_named_model
 from pmrsim.pmr import hermiticity_defect, parity_signs
 
@@ -379,43 +379,51 @@ class TestDenseMatrix:
             assert hermiticity_defect(h) < 1e-12
 
 
+def split_phases(h, g):
+    """``lcu._phase_pair`` on beta_i(z) = d_i(z) / gamma_i: each term's two
+    unit phases e^{i(chi +/- phi)}, (M, 2, 2^N), with
+    beta = cos(phi) e^{i chi} their mean."""
+    beta = np.array([h.term_values(i) / g.gamma[i] for i in range(h.m)])
+    return _phase_pair(beta, None)
+
+
 class TestAlternativeRepresentation:
+    """The split of each D_i into gamma_i/2 times a pair of pure-phase
+    diagonals, which the LCU's phase pairs make (``lcu._phase_pair``)."""
+
     def test_pure_phase_term(self):
         # D already gamma times a pure phase: both split phases coincide
         d = DiagonalOperator([(0.5, 0)], 1)
         h = PmrHamiltonian(DiagonalOperator.zero(1), ((d, PermutationOperator(1)),), 1)
-        alt = alternative_representation(h, GammaBounds((0.5,)))
-        _, ph1, ph2, _ = alt.terms[0]
+        ph1, ph2 = split_phases(h, GammaBounds((0.5,)))[0]
         assert np.allclose(ph1, ph2)
         assert np.allclose(ph1, np.ones(2))
 
     def test_zero_entry_gives_quarter_turn_phases(self):
-        # d(z) = 0 forces cos(theta) = 0: the two phases are +/- i
+        # d(z) = 0 forces cos(phi) = 0: the two phases are +/- i
         d = DiagonalOperator([(0.5, 0), (0.5, 0b1)], 1)  # values (1, 0)
         h = PmrHamiltonian(DiagonalOperator.zero(1), ((d, PermutationOperator(1)),), 1)
-        alt = alternative_representation(h, GammaBounds((1.0,)))
-        _, ph1, ph2, _ = alt.terms[0]
+        ph1, ph2 = split_phases(h, GammaBounds((1.0,)))[0]
         assert ph1[1] == pytest.approx(1j)
         assert ph2[1] == pytest.approx(-1j)
 
     def test_reconstruction(self):
+        # D0 + sum_i (gamma_i / 2) (e^{i(chi+phi)} + e^{i(chi-phi)}) P_i is H
         rng = np.random.default_rng(43)
         for _ in range(10):
             h = pauli_to_pmr(random_strings(rng))
             g = gamma_bounds(h, "exact")
             if any(gi == 0 for gi in g.gamma):
                 continue
-            alt = alternative_representation(h, g)
-            assert len(alt.terms) == h.m
-            assert np.max(np.abs(alt.dense_matrix() - dense_matrix(h))) < 1e-12
-            for _, ph1, ph2, _ in alt.terms:
-                assert np.allclose(np.abs(ph1), 1.0)
-                assert np.allclose(np.abs(ph2), 1.0)
-
-    def test_invalid_bound_rejected(self):
-        h = pauli_to_pmr([PauliString.from_word(1.0, "X")])
-        with pytest.raises(ValueError):
-            alternative_representation(h, GammaBounds((0.5,)))
+            pairs = split_phases(h, g)
+            assert pairs.shape == (h.m, 2, 1 << h.n_qubits)
+            assert np.allclose(np.abs(pairs), 1.0)
+            cols = np.arange(1 << h.n_qubits)
+            mat = np.diag(h.d0.values())
+            for gi, (ph1, ph2), (_, p) in zip(g.gamma, pairs, h.terms):
+                rows = cols ^ p.x_mask
+                mat[rows, cols] += 0.5 * gi * (ph1[rows] + ph2[rows])
+            assert np.max(np.abs(mat - dense_matrix(h))) < 1e-12
 
 
 class TestConstructionInvariants:
@@ -432,6 +440,14 @@ class TestConstructionInvariants:
     def test_d0_must_be_real(self):
         with pytest.raises(ValueError):
             PmrHamiltonian(DiagonalOperator([(1j, 1)], 1), (), 1)
+
+    def test_diagonal_qubit_count_enforced(self):
+        # a diagonal on 3 qubits would give a 2-qubit H 8 diagonal values
+        d3 = DiagonalOperator([(1.0, 0b100)], 3)
+        p = PermutationOperator(1)
+        for d0, terms in ((d3, ()), (DiagonalOperator.zero(2), ((d3, p),))):
+            with pytest.raises(ValueError, match="diagonal on 3 qubits, Hamiltonian on 2"):
+                PmrHamiltonian(d0, terms, 2)
 
 
 class TestTextFormat:
