@@ -3,9 +3,10 @@
 Subcommands: evolve (truncated-series emulation), lcu (ancilla-level
 emulation), divdiff (four-method evaluation table), resources (cost-formula
 instantiation), compare (model comparison table) and models (write a model
-Hamiltonian file).  All artifacts are CSV (or a rendered human table of the
-same fields); identical seeded invocations produce byte-identical output at
-any BLAS thread count.  Timing goes to stderr so it never perturbs them.
+Hamiltonian file); each takes only the flags its command reads.  All
+artifacts are CSV (or a rendered human table of the same fields); identical
+seeded invocations produce byte-identical output at any BLAS thread count.
+Timing goes to stderr so it never perturbs them.
 
 Exit codes: 0 success, 2 input error, 3 work/memory budget exceeded,
 4 numerical failure: a series result that is not finite (inf or NaN), a
@@ -27,6 +28,7 @@ import time
 import numpy as np
 
 from .divdiff import (
+    DD_METHODS,
     CancellationError,
     DdConfig,
     RepeatedInputsError,
@@ -51,7 +53,7 @@ from .pmr import (
     pauli_to_pmr,
     pmr_to_pauli_strings,
 )
-from .resources import comparison_csv, comparison_row, resource_table
+from .resources import COMPARISON_HEADER, comparison_csv, comparison_row, resource_table
 from .series import WorkBudgetExceededError, _norm, evolve, plan_segments
 
 __all__ = ["main", "build_parser"]
@@ -107,23 +109,49 @@ def _initial_state(arg: str, n_qubits: int, seed: int) -> np.ndarray:
 _CHECK_SKIPPED = "check skipped: N = {n} > %d, no dense reference" % DENSE_THRESHOLD
 
 
-def _load_hamiltonian(path: str):
-    strings = parse_hamiltonian_file(path)
-    return pauli_to_pmr(strings)
+def _run_setup(args):
+    """An evolve or lcu run's Hamiltonian, bounds, initial state and plan."""
+    if not args.hamiltonian:
+        raise ValueError(f"{args.command} needs --hamiltonian")
+    h = pauli_to_pmr(parse_hamiltonian_file(args.hamiltonian))
+    g = gamma_bounds(h, args.gamma_mode)
+    psi = _initial_state(args.initial, h.n_qubits, args.seed)
+    return h, g, psi, plan_segments(h, g, args.t, args.epsilon)
+
+
+def _finish(args, h, psi, out, elapsed, header, rows, factor=1, oracle=None) -> int:
+    """Write the run's artifact and stderr lines, and decide --check.
+
+    Up to N = DENSE_THRESHOLD the last row's error_2norm is ``out``'s
+    distance from one dense oracle (``oracle``, where the run built one);
+    --check exits 4 when that error is above ``factor`` * epsilon or NaN,
+    and past the oracle says that it skipped.
+    """
+    error = None
+    if h.n_qubits <= DENSE_THRESHOLD:
+        if oracle is None:
+            oracle = DenseOracle(h)
+        error = _norm(out - oracle.evolve(psi, args.t))
+    rows[-1][header.index("error_2norm")] = error
+    _emit(_render(header, rows, args.format), args.output)
+    print(f"elapsed_s={elapsed:.3f}", file=sys.stderr)
+    if not args.check:
+        return 0
+    if error is None:
+        print(_CHECK_SKIPPED.format(n=h.n_qubits), file=sys.stderr)
+    elif not error <= factor * args.epsilon:  # a NaN error fails too
+        bound = "epsilon" if factor == 1 else f"{factor} epsilon"
+        print(f"check failed: error {error:.3e} > {bound}", file=sys.stderr)
+        return 4
+    return 0
 
 
 def cmd_evolve(args) -> int:
-    h = _load_hamiltonian(args.hamiltonian)
-    g = gamma_bounds(h, args.gamma_mode)
-    psi = _initial_state(args.initial, h.n_qubits, args.seed)
-    plan = plan_segments(h, g, args.t, args.epsilon)
+    h, g, psi, plan = _run_setup(args)
     config = DdConfig(method=args.dd_method)
     start = time.perf_counter()
     out = evolve(h, g, psi, args.t, args.epsilon, config=config)
     elapsed = time.perf_counter() - start
-    error = None
-    if h.n_qubits <= DENSE_THRESHOLD:
-        error = _norm(out - DenseOracle(h).evolve(psi, args.t))
     header = [
         "hamiltonian", "N", "M", "t", "epsilon", "T", "r", "Q", "delta_t",
         "tail_bound", "s", "gamma_mode", "dd_method", "seed", "error_2norm",
@@ -131,24 +159,13 @@ def cmd_evolve(args) -> int:
     row = [
         args.hamiltonian, h.n_qubits, h.m, args.t, args.epsilon, plan.T,
         plan.r, plan.Q, plan.delta_t, plan.tail_bound, plan.s,
-        args.gamma_mode, args.dd_method, args.seed, error,
+        args.gamma_mode, args.dd_method, args.seed, None,
     ]
-    _emit(_render(header, [row], args.format), args.output)
-    print(f"elapsed_s={elapsed:.3f}", file=sys.stderr)
-    if args.check and error is None:
-        print(_CHECK_SKIPPED.format(n=h.n_qubits), file=sys.stderr)
-    # a NaN error fails too
-    if args.check and error is not None and not error <= args.epsilon:
-        print(f"check failed: error {error:.3e} > epsilon", file=sys.stderr)
-        return 4
-    return 0
+    return _finish(args, h, psi, out, elapsed, header, [row])
 
 
 def cmd_lcu(args) -> int:
-    h = _load_hamiltonian(args.hamiltonian)
-    g = gamma_bounds(h, args.gamma_mode)
-    psi = _initial_state(args.initial, h.n_qubits, args.seed)
-    plan = plan_segments(h, g, args.t, args.epsilon)
+    h, g, psi, plan = _run_setup(args)
     config = LcuConfig(phase_bits=args.phase_bits, dd=DdConfig(method=args.dd_method))
     start = time.perf_counter()
     quantized = args.phase_bits is not None
@@ -156,11 +173,6 @@ def cmd_lcu(args) -> int:
     # error_2norm the oracle of its trace residuals (N <= 6)
     out, diags, exact_out, oracle = _evolve_lcu_runs(h, g, psi, plan, config, exact_too=quantized)
     elapsed = time.perf_counter() - start
-    error = None
-    if h.n_qubits <= DENSE_THRESHOLD:
-        if oracle is None:
-            oracle = DenseOracle(h)
-        error = _norm(out - oracle.evolve(psi, args.t))
     quant_error = _norm(out - exact_out) if quantized else None
     header = [
         "hamiltonian", "N", "M", "segment", "t", "epsilon", "T", "r", "Q", "s",
@@ -180,17 +192,10 @@ def cmd_lcu(args) -> int:
         [
             args.hamiltonian, h.n_qubits, h.m, "total", args.t, args.epsilon,
             plan.T, plan.r, plan.Q, plan.s if diags else 1.0, None, None, None,
-            args.phase_bits, error, quant_error,
+            args.phase_bits, None, quant_error,
         ]
     )
-    _emit(_render(header, rows, args.format), args.output)
-    print(f"elapsed_s={elapsed:.3f}", file=sys.stderr)
-    if args.check and error is None:
-        print(_CHECK_SKIPPED.format(n=h.n_qubits), file=sys.stderr)
-    if args.check and error is not None and not error <= 10 * args.epsilon:
-        print(f"check failed: error {error:.3e} > 10 epsilon", file=sys.stderr)
-        return 4
-    return 0
+    return _finish(args, h, psi, out, elapsed, header, rows, factor=10, oracle=oracle)
 
 
 def _evaluated(fn, values: list[float], t: float) -> complex | None:
@@ -267,14 +272,11 @@ def _resource_rows(h, g, record, t, epsilon):
 def cmd_resources(args) -> int:
     if args.model:
         h, record = build_named_model(args.model, args.N, t=args.t)
-        g = gamma_bounds(h, args.gamma_mode)
+    elif args.hamiltonian:
+        h, record = pauli_to_pmr(parse_hamiltonian_file(args.hamiltonian)), None
     else:
-        if not args.hamiltonian:
-            raise ValueError("resources needs --model or --hamiltonian")
-        h = _load_hamiltonian(args.hamiltonian)
-        record = None
-        g = gamma_bounds(h, args.gamma_mode)
-    rows = _resource_rows(h, g, record, args.t, args.epsilon)
+        raise ValueError("resources needs --model or --hamiltonian")
+    rows = _resource_rows(h, gamma_bounds(h, args.gamma_mode), record, args.t, args.epsilon)
     _emit(_render(["quantity", "value"], rows, args.format), args.output)
     return 0
 
@@ -286,11 +288,11 @@ def cmd_compare(args) -> int:
         h, record = build_named_model(name, args.N, t=args.t)
         g = gamma_bounds(h, args.gamma_mode)
         rows.append(comparison_row(h, record, g, args.t, args.epsilon))
-    text = comparison_csv(rows)
-    if args.format == "human":
-        header = text.strip().split("\n")[0].split(",")
-        body = [line.split(",") for line in text.strip().split("\n")[1:]]
-        text = _render(header, body, "human")
+    if args.format == "csv":
+        text = comparison_csv(rows)
+    else:
+        header = COMPARISON_HEADER.split(",")
+        text = _render(header, [[str(row[key]) for key in header] for row in rows], "human")
     _emit(text, args.output)
     return 0
 
@@ -311,7 +313,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     """Expand a --config key=value file into flags after the subcommand.
 
     Flags given explicitly on the command line take precedence because they
-    appear later.  Booleans (e.g. ``check = true``) become bare flags.
+    appear later.  Booleans (e.g. ``check = true``) become bare flags.  A key
+    that is no flag of the subcommand fails the parse, as on the command line.
     """
     if "--config" not in argv:
         return argv
@@ -341,6 +344,28 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return rest[:1] + flags + rest[1:]
 
 
+# every option by its flag; each subcommand takes only the flags its command reads
+_OPTIONS = {
+    "--t": dict(type=float, default=1.0, help="evolution time"),
+    "--epsilon": dict(type=float, default=1e-6, help="target error"),
+    "--dd-method": dict(default="taylor", choices=DD_METHODS),
+    "--gamma-mode": dict(default="exact", choices=("exact", "sum_abs")),
+    "--seed": dict(type=int, default=42),
+    "--output": dict(default=None, help="artifact path (default stdout)"),
+    "--format": dict(default="csv", choices=("csv", "human")),
+    "--check": dict(action="store_true",
+                    help="exit 4 if the dense-oracle error exceeds tolerance"),
+    "--hamiltonian": dict(default=None, help="Hamiltonian text file"),
+    "--initial": dict(default="random", help="'random' or a basis index"),
+    "--phase-bits": dict(type=int, default=None),
+    "--model": dict(default=None),
+    "--N": dict(type=int, default=4, help="model size parameter"),
+}
+_RUN_FLAGS = ("--t", "--epsilon", "--dd-method", "--gamma-mode", "--seed", "--output",
+              "--format", "--check", "--hamiltonian", "--initial")
+_COST_FLAGS = ("--t", "--epsilon", "--gamma-mode", "--output", "--format")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The pmrsim argument parser, built once per process; ``parse_args``
@@ -350,55 +375,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale emulation of off-diagonal-series Hamiltonian dynamics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, hamiltonian=False, model=False):
-        p.add_argument("--t", type=float, default=1.0, help="evolution time")
-        p.add_argument("--epsilon", type=float, default=1e-6, help="target error")
-        p.add_argument("--dd-method", dest="dd_method", default="taylor",
-                       choices=("taylor", "naive", "pyramid", "leibniz"))
-        p.add_argument("--gamma-mode", dest="gamma_mode", default="exact",
-                       choices=("exact", "sum_abs"))
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--output", default=None, help="artifact path (default stdout)")
-        p.add_argument("--format", default="csv", choices=("csv", "human"))
-        p.add_argument("--check", action="store_true",
-                       help="exit 4 if the dense-oracle error exceeds tolerance")
-        if hamiltonian:
-            p.add_argument("--hamiltonian", required=False, default=None,
-                           help="Hamiltonian text file")
-            p.add_argument("--initial", default="random",
-                           help="'random' or a basis index")
-        if model:
-            p.add_argument("--model", default=None)
-            p.add_argument("--N", type=int, default=4, help="model size parameter")
-
-    p = sub.add_parser("evolve", help="truncated-series evolution")
-    common(p, hamiltonian=True)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("lcu", help="ancilla-level LCU + amplification evolution")
-    common(p, hamiltonian=True)
-    p.add_argument("--phase-bits", dest="phase_bits", type=int, default=None)
-    p.set_defaults(func=cmd_lcu)
-
-    p = sub.add_parser("divdiff", help="divided-difference method table")
-    p.add_argument("inputs", nargs="+", help="real energy inputs")
-    common(p)
-    p.set_defaults(func=cmd_divdiff)
-
-    p = sub.add_parser("resources", help="gate/qubit cost table")
-    common(p, hamiltonian=True, model=True)
-    p.set_defaults(func=cmd_resources)
-
-    p = sub.add_parser("compare", help="method comparison table")
-    common(p, model=True)
-    p.set_defaults(func=cmd_compare)
-    p.set_defaults(model="all")
-
-    p = sub.add_parser("models", help="write a model Hamiltonian file")
-    common(p, model=True)
-    p.set_defaults(func=cmd_models)
-
+    for name, func, text, flags in (
+        ("evolve", cmd_evolve, "truncated-series evolution", _RUN_FLAGS),
+        ("lcu", cmd_lcu, "ancilla-level LCU + amplification evolution",
+         _RUN_FLAGS + ("--phase-bits",)),
+        ("divdiff", cmd_divdiff, "divided-difference method table",
+         ("--t", "--output", "--format")),
+        ("resources", cmd_resources, "gate/qubit cost table",
+         _COST_FLAGS + ("--hamiltonian", "--model", "--N")),
+        ("compare", cmd_compare, "method comparison table", _COST_FLAGS + ("--model", "--N")),
+        ("models", cmd_models, "write a model Hamiltonian file",
+         ("--t", "--output", "--model", "--N")),
+    ):
+        p = sub.add_parser(name, help=text)
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(func=func)
+    sub.choices["divdiff"].add_argument("inputs", nargs="+", help="real energy inputs")
+    sub.choices["compare"].set_defaults(model="all")
     return parser
 
 
@@ -409,9 +403,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except HamiltonianParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except WorkBudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DD_METHODS",
     "DdConfig",
     "RepeatedInputsError",
     "ZeroDividedDifferenceError",
@@ -45,6 +46,8 @@ __all__ = [
     "series_order",
 ]
 
+# the four routes by name, taylor first: DdConfig takes no other
+DD_METHODS = ("taylor", "naive", "pyramid", "leibniz")
 MAX_LEIBNIZ_ORDER = 64
 SERIES_TOL = 1e-13
 # dd_exp evaluates naive, pyramid and leibniz rows in chunks whose
@@ -78,9 +81,13 @@ class SeriesConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class DdConfig:
     """Evaluator selection: taylor (to ``SERIES_TOL``), naive, pyramid or
-    leibniz (at ``auto_doubling_depth``)."""
+    leibniz (at ``auto_doubling_depth``); any other name is a ValueError."""
 
     method: str = "taylor"
+
+    def __post_init__(self):
+        if self.method not in DD_METHODS:
+            raise ValueError(f"unknown divided-difference method {self.method!r}")
 
 
 def _as_rows(values) -> tuple[np.ndarray, bool]:
@@ -170,11 +177,9 @@ def series_order(amp: float, tol: float) -> int:
             )
 
 
-def _taylor_row(start: complex, q: int, n_max: int, t: float) -> np.ndarray:
-    """start * q!(-it)^n/(q+n)! for n <= n_max, by the ratio product; from
-    start = ``exp_prefactor(q, t)`` it is the Taylor coefficient row
-    (-it)^{q+n}/(q+n)!."""
-    row = np.full(n_max + 1, start, dtype=complex)
+def _taylor_row(q: int, n_max: int, t: float) -> np.ndarray:
+    """q!(-it)^n/(q+n)! for n <= n_max, by the ratio product."""
+    row = np.ones(n_max + 1, dtype=complex)
     for n in range(1, n_max + 1):
         row[n] = row[n - 1] * (-1j * t) / (q + n)
     return row
@@ -210,7 +215,7 @@ def _taylor_sum(y: np.ndarray, t: float, tol: float) -> np.ndarray:
     h[0] = 1.0
     for col in (t * y).T:
         _add_input(h, col)
-    r = _taylor_row(1.0, q, n_max, 1.0)
+    r = _taylor_row(q, n_max, 1.0)
     return r.real @ h + 1j * (r.imag @ h)
 
 
@@ -405,13 +410,11 @@ def dd_exp(values, t: float, config: DdConfig | None = None):
     x = np.asarray(values, dtype=float)
     if method == "taylor":
         return dd_exp_taylor_batch(x, t) if x.ndim == 2 else dd_exp_taylor(x, t)
-    fn = {"naive": dd_exp_naive, "pyramid": dd_exp_pyramid, "leibniz": dd_exp_leibniz}
-    if method not in fn:
-        raise ValueError(f"unknown divided-difference method {method!r}")
+    fn = dict(zip(DD_METHODS[1:], (dd_exp_naive, dd_exp_pyramid, dd_exp_leibniz)))[method]
     if x.ndim != 2 or x.shape[1] == 0:
-        return fn[method](x, t)
+        return fn(x, t)
     out = np.empty(len(x), dtype=complex)
     step = max(1, _CHUNK_ENTRIES // x.shape[1] ** 2)
     for lo in range(0, len(x), step):
-        out[lo : lo + step] = fn[method](x[lo : lo + step], t)
+        out[lo : lo + step] = fn(x[lo : lo + step], t)
     return out

@@ -51,9 +51,9 @@ import numpy as np
 from .divdiff import DdConfig
 from .oracle import DenseOracle
 from .pmr import GammaBounds, PmrHamiltonian
-from .series import (DEFAULT_WORK_BUDGET, LN2, SegmentPlan, _check_rows_budget, _FlipRows,
-                     _norm, _path_table, _price, _quiet, _require_finite, apply_diagonal,
-                     partial_exp_sum, plan_segments)
+from .series import (_DIAGONAL_OVERFLOWED, DEFAULT_WORK_BUDGET, LN2, SegmentPlan,
+                     _check_rows_budget, _FlipRows, _norm, _path_table, _price, _quiet,
+                     _require_finite, apply_diagonal, partial_exp_sum, plan_segments)
 
 __all__ = [
     "AncillaLayout",
@@ -528,7 +528,7 @@ def _evolve_lcu_runs(
     has passed its budgets."""
     state = np.asarray(state, dtype=complex)
     if plan.diagonal_only:
-        out = _require_finite(apply_diagonal(h, state, plan.t_total))
+        out = _require_finite(apply_diagonal(h, state, plan.t_total), _DIAGONAL_OVERFLOWED)
         return out, [], out if exact_too else None, None
     _price(AncillaLayout(plan.Q, h.m).anc_dim << h.n_qubits, composite_budget,
            f"2 * sum_{{q<={plan.Q}}} {h.m}^q * 2^{h.n_qubits}",

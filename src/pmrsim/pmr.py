@@ -177,9 +177,11 @@ class DiagonalOperator:
         support = self._support
         qubits = [j for j in range(self.n_qubits) if support >> j & 1]
         table = np.zeros(1 << len(qubits), dtype=complex)
-        for coeff, mask in self.terms:
-            packed = sum(1 << p for p, j in enumerate(qubits) if mask >> j & 1)
-            table += coeff * parity_signs(packed, len(qubits))
+        # an overflowed entry is inf; plan_segments refuses the bounds it gives
+        with np.errstate(over="ignore"):
+            for coeff, mask in self.terms:
+                packed = sum(1 << p for p, j in enumerate(qubits) if mask >> j & 1)
+                table += coeff * parity_signs(packed, len(qubits))
         table.flags.writeable = False
         return table.reshape((2,) * len(qubits))
 

@@ -290,13 +290,22 @@ def _norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.sum(x.real * x.real + x.imag * x.imag)))
 
 
-def _require_finite(out: np.ndarray) -> np.ndarray:
-    """``out`` itself, or SeriesConvergenceError if any entry is inf or NaN."""
+_TERMS_OVERFLOWED = (
+    "series result is not finite: its terms overflowed float64 "
+    "(|t| * spread of the diagonal energies too large)"
+)
+# a diagonal-only run has no series terms
+_DIAGONAL_OVERFLOWED = (
+    "diagonal-only result is not finite: the diagonal energies, "
+    "or |t| times them, overflowed float64"
+)
+
+
+def _require_finite(out: np.ndarray, message: str = _TERMS_OVERFLOWED) -> np.ndarray:
+    """``out`` itself, or SeriesConvergenceError(``message``) if any entry is
+    inf or NaN."""
     if not np.isfinite(out).all():
-        raise SeriesConvergenceError(
-            "series result is not finite: its terms overflowed float64 "
-            "(|t| * spread of the diagonal energies too large)"
-        )
+        raise SeriesConvergenceError(message)
     return out
 
 
@@ -313,7 +322,7 @@ def _taylor_table(
     c = 0.5 * (lo + hi)
     amp = abs(dt) * (hi - lo) / 2
     n_max = series_order(amp, SERIES_TOL) if amp > 0.0 else 0
-    coeffs = _taylor_row(1.0, 0, order + n_max, dt)  # (-i dt)^j / j!
+    coeffs = _taylor_row(0, order + n_max, dt)  # (-i dt)^j / j!
     return c, energies - c, coeffs[np.add.outer(np.arange(order + 1), np.arange(n_max + 1))]
 
 
@@ -660,7 +669,7 @@ def evolve(
     state = np.asarray(state, dtype=complex)
     plan = plan_segments(h, g, t, epsilon, q_override=q_override)
     if plan.diagonal_only:
-        return _require_finite(apply_diagonal(h, state, t))
+        return _require_finite(apply_diagonal(h, state, t), _DIAGONAL_OVERFLOWED)
     if state.shape != (1 << h.n_qubits,):
         raise ValueError("state length must be 2^N")
     op = _uod_operator(h, plan, config or DdConfig(), state != 0, plan.r, work_budget)

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -142,13 +143,15 @@ class TestEvolveCommand:
 
     def test_overflowed_energy_exit_4(self, tmp_path, capsys):
         # E(0) = 2e308 overflows to inf in a diagonal-only run, whose result
-        # is then not finite
+        # is then not finite; it has no series terms to blame
         path = tmp_path / "d.txt"
         path.write_text("1e308 ZI\n1e308 IZ\n")
         for command in ("evolve", "lcu"):
             assert main([command, "--hamiltonian", str(path), "--check"]) == 4
-            err = capsys.readouterr().err
-            assert err.startswith("numerical failure:") and err.count("\n") == 1
+            assert capsys.readouterr().err == (
+                "numerical failure: diagonal-only result is not finite: the diagonal "
+                "energies, or |t| times them, overflowed float64\n"
+            )
 
     @pytest.mark.parametrize("command", ["evolve", "lcu"])
     def test_check_fails_on_nan_error(self, tmp_path, capsys, monkeypatch, command):
@@ -186,6 +189,11 @@ class TestEvolveCommand:
         assert len(err) == 2 and err[0].startswith("elapsed_s=")
         assert err[1].startswith("check failed: error ") and err[1].endswith(" > epsilon")
         assert float(read_csv(out)[0]["error_2norm"]) == pytest.approx(1e-3, rel=1e-2)
+
+    @pytest.mark.parametrize("command", ["evolve", "lcu"])
+    def test_needs_hamiltonian_exit_2(self, capsys, command):
+        assert main([command]) == 2
+        assert capsys.readouterr().err == f"input error: {command} needs --hamiltonian\n"
 
     def test_basis_index_out_of_range_exit_2(self, capsys):
         assert main(["evolve", "--hamiltonian", SAMPLE, "--initial", "16"]) == 2
@@ -522,13 +530,17 @@ class TestLcuCommand:
 
 
 @pytest.mark.parametrize("command", ["evolve", "lcu", "resources"])
-def test_overflowed_bound_exit_2(tmp_path, capsys, command):
-    # gamma = 1e308 + 1e308 overflows to inf, and so does T = |t| * gamma
+def test_overflowed_bound_exit_2(tmp_path, command):
+    # gamma = 1e308 + 1e308 overflows to inf, and so does T = |t| * gamma; the
+    # one input error line is all of stderr, with no numpy overflow warning
     path = tmp_path / "o.txt"
     path.write_text("1e308 XI\n1e308 XZ\n")
-    assert main([command, "--hamiltonian", str(path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith("input error: T = |t| * gamma_total = inf is not finite")
+    run = run_fresh([command, "--hamiltonian", str(path)])
+    assert run.returncode == 2
+    assert run.stderr == (
+        "input error: T = |t| * gamma_total = inf is not finite "
+        "(the bounds overflow float64)\n"
+    )
 
 
 class TestDivdiffCommand:
@@ -807,3 +819,66 @@ class TestConfigFile:
     def test_config_without_path_exit_2(self, capsys):
         assert main(["evolve", "--hamiltonian", SAMPLE, "--config"]) == 2
         assert capsys.readouterr().err == "input error: line 0: --config needs a path\n"
+
+
+# the flags each subcommand takes: exactly those its command reads
+SUBCOMMAND_FLAGS = {
+    "evolve": {"--t", "--epsilon", "--dd-method", "--gamma-mode", "--seed", "--output",
+               "--format", "--check", "--hamiltonian", "--initial"},
+    "divdiff": {"--t", "--output", "--format"},
+    "resources": {"--t", "--epsilon", "--gamma-mode", "--output", "--format",
+                  "--hamiltonian", "--model", "--N"},
+    "compare": {"--t", "--epsilon", "--gamma-mode", "--output", "--format", "--model", "--N"},
+    "models": {"--t", "--output", "--model", "--N"},
+}
+SUBCOMMAND_FLAGS["lcu"] = SUBCOMMAND_FLAGS["evolve"] | {"--phase-bits"}
+
+# (subcommand argv, flag) for each flag its command never read
+UNREAD_FLAGS = [
+    (argv, flag)
+    for argv, flags in (
+        (["divdiff", "0", "1"], ["--epsilon", "--dd-method", "--gamma-mode", "--seed", "--check"]),
+        (["models", "--model", "schwinger"],
+         ["--epsilon", "--dd-method", "--gamma-mode", "--seed", "--format", "--check"]),
+        (["compare", "--model", "all"], ["--dd-method", "--seed", "--check"]),
+        (["resources", "--model", "schwinger"], ["--dd-method", "--seed", "--check", "--initial"]),
+    )
+    for flag in flags
+]
+# the value each of those flags took
+FLAG_VALUES = {"--epsilon": ["0.5"], "--dd-method": ["naive"], "--gamma-mode": ["sum_abs"],
+               "--seed": ["3"], "--format": ["human"], "--initial": ["3"], "--check": []}
+
+
+class TestFlags:
+    def test_each_subcommand_takes_exactly_its_flags(self):
+        sub = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        taken = {
+            name: {flag for action in p._actions for flag in action.option_strings}
+            - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert taken == SUBCOMMAND_FLAGS
+        assert sum(len(flags) for flags in taken.values()) == 43
+        assert len(UNREAD_FLAGS) == 18
+
+    @pytest.mark.parametrize(
+        "argv, flag", UNREAD_FLAGS, ids=[f"{argv[0]}{flag}" for argv, flag in UNREAD_FLAGS]
+    )
+    def test_unread_flag_exit_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, *FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {flag}" in err
+
+    def test_config_key_of_another_subcommand_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("check = true\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--model", "all", "--N", "4", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""

@@ -338,6 +338,12 @@ class TestSharedProperties:
         with pytest.raises(ValueError):
             dd_exp(x, t, DdConfig(method="newton"))
 
+    @pytest.mark.parametrize("method", ["Taylor", "newton"])
+    def test_unknown_method_refused_at_construction(self, method):
+        # a misspelt taylor would otherwise take the path-enumerating route
+        with pytest.raises(ValueError, match="unknown divided-difference method"):
+            DdConfig(method=method)
+
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_empty_input_rejected(self, t):
         for fn in (dd_exp_taylor, dd_exp_naive, dd_exp_pyramid, dd_exp_leibniz):
